@@ -22,10 +22,13 @@ from .adiabatic import (
 from .continuous import (
     ContinuousParams,
     DiagonalBand,
+    FidelityCurve,
     cat_fidelity_analytic,
     diagonal_band,
     evolve_continuous,
     evolve_continuous_grid,
+    evolve_operator,
+    fidelity_curve,
     fock_fidelity_analytic,
     ideal_offdiagonal_decay,
     mean_amplitude_ideal,

@@ -26,7 +26,7 @@ from .continuous import (
     ContinuousParams,
     cat_fidelity_analytic,
     evolve_continuous,
-    evolve_continuous_grid,
+    fidelity_curve,
     fock_fidelity_analytic,
 )
 from .errors import (
@@ -43,7 +43,6 @@ from .fock import (
     FockDim,
     cat_state,
     coherent_state,
-    fidelity,
     fock_superposition,
     parity_expectation,
 )
@@ -200,11 +199,9 @@ def cmd_fidelity_cat(cfg):
     columns = {}
     worst_trace = 0.0
     for eta in etas:
-        states = evolve_continuous_grid(rho0, ContinuousParams(1.0, eta), times)
-        columns[eta] = [fidelity(rho0, st) for st in states]
-        worst_trace = max(
-            worst_trace, max(abs(np.trace(st.elements).real - 1.0) for st in states)
-        )
+        curve = fidelity_curve(rho0, ContinuousParams(1.0, eta), times)
+        columns[eta] = curve.fidelity
+        worst_trace = max(worst_trace, curve.margins.trace_drift)
     checks = [_check("trace_conservation", worst_trace, 1e-9)]
     if 0.0 in etas:
         dev = max(
@@ -239,8 +236,7 @@ def cmd_fidelity_fock(cfg):
     worst_dev = 0.0
     for eta in etas:
         params = ContinuousParams(1.0, eta)
-        states = evolve_continuous_grid(rho0, params, times)
-        numeric[eta] = [fidelity(rho0, st) for st in states]
+        numeric[eta] = fidelity_curve(rho0, params, times).fidelity
         analytic[eta] = [fock_fidelity_analytic(alpha2, beta2, n, m, params, t) for t in times]
         worst_dev = max(
             worst_dev, max(abs(a - b) for a, b in zip(numeric[eta], analytic[eta]))
@@ -582,18 +578,25 @@ def _resolve(command: str, args) -> dict:
 
 
 def _thread_cap():
+    """Cap BLAS threads at $THREADS; returns the limiter to unregister, or None.
+
+    A malformed or non-positive value is a config error.  Without threadpoolctl
+    the cap cannot be applied, which is said on stderr; results do not depend
+    on it either way.
+    """
     raw = os.environ.get("THREADS")
     if not raw:
         return None
     try:
         count = int(raw)
     except ValueError:
-        return None
+        count = 0
     if count < 1:
-        return None
+        raise ConfigError("THREADS", f"expected a positive integer, got {raw!r}")
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        print(f"THREADS={count} not applied: threadpoolctl is not installed", file=sys.stderr)
         return None
     return threadpool_limits(limits=count)
 

@@ -10,19 +10,26 @@ to the element one step up the same off-diagonal:
                        - (gamma / 2) (n + m) rho_{n,m}
 
 so each off-diagonal band evolves under its own upper-bidiagonal generator.
-Every band is propagated by an exact matrix exponential; no time stepper and
-no integrator tolerance enters any result.
+One band core, `_propagate`, serves every map here: each band that is nonzero
+in the input is propagated by an exact matrix exponential (scipy's
+scaling-and-squaring `expm`, Al-Mohy & Higham 2009), and zero bands are
+skipped.  No time stepper and no integrator tolerance enters any result.
+Every state a map returns is checked for Hermiticity, trace and positivity at
+every time point, in one pass over the stack of states; `fidelity_curve`
+reads the overlap with the initial state off that stack without building a
+state object per time point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from .errors import TruncationError
-from .fock import CatParity, DensityMatrix
+from .errors import NumericalInvariantError, TruncationError
+from .fock import CatParity, DensityMargins, DensityMatrix, check_density
 
 _TOP_POPULATION_TOL = 1e-8
 
@@ -79,29 +86,39 @@ def _band_propagator(eta: float, p: int, length: int, gamma_t: float) -> np.ndar
     gen = np.diag(diag)
     if length > 1:
         gen += np.diag(upper, 1)
-    return expm(gamma_t * gen)
+    return expm(gamma_t * gen).astype(complex)
 
 
-def _evolve_matrix(mat: np.ndarray, eta: float, gamma_t: float) -> np.ndarray:
-    """Propagate an arbitrary (not necessarily Hermitian) matrix band by band."""
+def _propagate(mat: np.ndarray, eta: float, gamma_dt: float, steps: int) -> np.ndarray:
+    """The band core: (steps + 1, n, n) stack of mat after 0, 1, ..., steps steps.
+
+    Bands that are zero in `mat` stay zero and get no propagator.  A lower
+    band that is exactly the conjugate of its upper band (any Hermitian
+    input) is filled in by conjugation: every propagator is real, so that is
+    what propagating it gives bit for bit once the -0.0 imaginary parts
+    conjugation leaves are turned into the +0.0 a product gives.
+    """
     n = mat.shape[0]
-    out = np.zeros_like(mat, dtype=complex)
+    stack = np.zeros((steps + 1, n, n), dtype=complex)
+    stack[0] = mat
+    flat = stack.reshape(steps + 1, n * n)
+    traj = np.empty((steps + 1, n), dtype=complex)  # contiguous work rows
     for p in range(n):
-        prop = None
-        upper = np.diagonal(mat, offset=p)
-        if np.any(upper):
-            prop = _band_propagator(eta, p, n - p, gamma_t)
-            idx = np.arange(n - p)
-            out[idx, idx + p] = prop @ upper
-        if p == 0:
+        upper = flat[:, p :: n + 1][:, : n - p]  # writable views of the two bands
+        lower = flat[:, p * n :: n + 1][:, : n - p]
+        if steps == 0 or not (upper[0].any() or lower[0].any()):
             continue
-        lower = np.diagonal(mat, offset=-p)
-        if np.any(lower):
-            if prop is None:
-                prop = _band_propagator(eta, p, n - p, gamma_t)
-            idx = np.arange(n - p)
-            out[idx + p, idx] = prop @ lower
-    return out
+        mirrored = p == 0 or np.array_equal(lower[0], upper[0].conj())
+        prop = _band_propagator(eta, p, n - p, gamma_dt)
+        band = traj[:, : n - p]
+        for out in (upper,) if mirrored else (upper, lower):
+            band[0] = out[0]
+            for s in range(steps):
+                np.dot(prop, band[s], out=band[s + 1])
+            out[1:] = band[1:]
+        if p and mirrored:
+            lower[1:] = upper[1:].conj() + 0.0
+    return stack
 
 
 def _check_top_population(rho: DensityMatrix):
@@ -113,6 +130,30 @@ def _check_top_population(rho: DensityMatrix):
         )
 
 
+def _uniform_steps(times) -> tuple:
+    """Spacing and step count of a uniform time grid starting at 0."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a non-empty 1-d array")
+    if times[0] != 0.0:
+        raise ValueError("time grid must start at 0")
+    if times.size == 1:
+        return 0.0, 0
+    steps = np.diff(times)
+    if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-12 * steps[0]:
+        raise ValueError("time grid must be uniform and increasing")
+    return float(times[1] - times[0]), times.size - 1
+
+
+def evolve_operator(op, eta: float, gamma_t: float) -> np.ndarray:
+    """Apply the feedback map for a time gamma_t (units of 1/gamma) to any matrix.
+
+    The map is linear and acts band by band, so it extends to operators that
+    are not states, such as the coherences |n><m| of a two-mode check.
+    """
+    return _propagate(np.asarray(op, dtype=complex), eta, gamma_t, 1)[1]
+
+
 def evolve_continuous(rho0: DensityMatrix, params: ContinuousParams, t: float) -> DensityMatrix:
     """Evolve rho0 for a time t under detection efficiency eta.
 
@@ -122,44 +163,49 @@ def evolve_continuous(rho0: DensityMatrix, params: ContinuousParams, t: float) -
     if t < 0:
         raise ValueError("t must be >= 0; negative times are not time-reversed")
     _check_top_population(rho0)
-    out = _evolve_matrix(np.asarray(rho0.elements), params.eta, params.gamma * t)
+    out = evolve_operator(rho0.elements, params.eta, params.gamma * t)
     out = (out + out.conj().T) / 2.0
-    return DensityMatrix(out, rho0.dim)
+    return DensityMatrix.from_map(out[None], rho0.dim)[0]
 
 
 def evolve_continuous_grid(rho0: DensityMatrix, params: ContinuousParams, times) -> list:
     """States at each time of a uniform grid starting at 0.
 
-    One propagator per band is exponentiated for the grid spacing and applied
-    repeatedly; products of exact exponentials of one generator stay exact.
+    One propagator per nonzero band is exponentiated for the grid spacing and
+    applied repeatedly; products of exact exponentials of one generator stay
+    exact.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1-d array")
-    if times[0] != 0.0:
-        raise ValueError("time grid must start at 0")
-    if times.size > 1:
-        steps = np.diff(times)
-        if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-12 * steps[0]:
-            raise ValueError("time grid must be uniform and increasing")
+    dt, steps = _uniform_steps(times)
     _check_top_population(rho0)
-    n = rho0.dim.size
-    if times.size == 1:
+    if steps == 0:
         return [rho0]
-    dt = float(times[1] - times[0])
-    props = [_band_propagator(params.eta, p, n - p, params.gamma * dt) for p in range(n)]
-    bands = [np.diagonal(rho0.elements, offset=p).copy() for p in range(n)]
-    out = [rho0]
-    for _ in range(times.size - 1):
-        mat = np.zeros((n, n), dtype=complex)
-        for p in range(n):
-            bands[p] = props[p] @ bands[p]
-            idx = np.arange(n - p)
-            mat[idx, idx + p] = bands[p]
-            if p:
-                mat[idx + p, idx] = np.conj(bands[p])
-        out.append(DensityMatrix(mat, rho0.dim))
-    return out
+    stack = _propagate(rho0.elements, params.eta, params.gamma * dt, steps)
+    return [rho0] + DensityMatrix.from_map(stack[1:], rho0.dim)
+
+
+class FidelityCurve(NamedTuple):
+    """Overlaps Tr rho0 rho(t) on a time grid, with the invariant margins of rho(t)."""
+
+    fidelity: np.ndarray
+    margins: DensityMargins
+
+
+def fidelity_curve(rho0: DensityMatrix, params: ContinuousParams, times) -> FidelityCurve:
+    """Fidelity Tr rho0 rho(t) at each time of a uniform grid starting at 0.
+
+    The overlap equals sum_p w_p Re <b_p(0), b_p(t)> over the bands b_p, with
+    w_0 = 1 and w_p = 2, and only the bands nonzero in rho0 are propagated.
+    It is summed as `fidelity` sums it, so the values equal those of `fidelity`
+    on each state of `evolve_continuous_grid`, but no state object is built
+    per time point.  Every rho(t) is still checked for Hermiticity, trace and
+    positivity, and a violation raises NumericalInvariantError.
+    """
+    dt, steps = _uniform_steps(times)
+    _check_top_population(rho0)
+    stack = _propagate(rho0.elements, params.eta, params.gamma * dt, steps)
+    margins = check_density(stack, NumericalInvariantError)
+    overlap = np.array([np.vdot(rho0.elements, mat).real for mat in stack])
+    return FidelityCurve(overlap, margins)
 
 
 def ideal_offdiagonal_decay(rho0: DensityMatrix, gamma: float, t: float) -> DensityMatrix:

@@ -3,18 +3,27 @@
 Everything downstream (feedback evolution, Wigner transforms, stroboscopic
 maps) works on the types defined here.  All types are immutable after
 construction and every constructor validates its invariants, so a state that
-exists is a state that is safe to use.
+exists is a state that is safe to use.  Density-matrix invariants have one
+validator, `check_density`, which checks a whole stack of matrices in one pass;
+`DensityMatrix` runs it on its input and maps run it on their output.
 """
 from __future__ import annotations
 
 import enum
 import hashlib
 from dataclasses import dataclass
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DegenerateCatError, DimMismatchError, TruncationError
+from .errors import (
+    DegenerateCatError,
+    DimMismatchError,
+    NumericalInvariantError,
+    TruncationError,
+)
 
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -76,6 +85,69 @@ class StateVector:
         return float(np.sum(n * np.abs(self.amplitudes) ** 2))
 
 
+class DensityMargins(NamedTuple):
+    """Worst case over a stack of matrices of each density-matrix invariant."""
+
+    hermiticity: float  # largest |rho - rho^dagger| element
+    trace_drift: float  # largest |Tr rho - 1|
+    min_eigenvalue: float  # smallest eigenvalue of the Hermitian part
+
+
+def _band_period(stack: np.ndarray) -> int:
+    """Largest g with every nonzero element (i, j) of the stack at i = j mod g.
+
+    Such matrices are block diagonal over the residue classes n mod g.  A
+    stack that is diagonal throughout gives its dimension.
+    """
+    if stack.diagonal(1, 1, 2).any() or stack.diagonal(-1, 1, 2).any():
+        return 1  # the common dense case, without scanning every element
+    rows, cols = np.nonzero(np.any(stack, axis=0))
+    return int(np.gcd.reduce(np.abs(rows - cols), initial=0)) or stack.shape[-1]
+
+
+def density_margins(stack) -> DensityMargins:
+    """Invariant margins of a (T, n, n) stack of candidate density matrices.
+
+    For a stack of several matrices the spectrum is taken block by block over
+    the residue classes of the band period (every cat state has period 2),
+    which leaves it unchanged and cuts the diagonalisation cost by about the
+    period squared.  A lone matrix is diagonalised whole: for it the scan and
+    the extra LAPACK calls cost more than they save (with them, a strobo-pe
+    run at 32 levels took 10 % longer on a 2-vCPU Xeon).
+    """
+    stack = np.asarray(stack)
+    # np.maximum and np.minimum, unlike max and min, pass a NaN on to the margins
+    herm = reduce(np.maximum, (abs(mat - mat.conj().T).max() for mat in stack))
+    drift = abs(stack.trace(axis1=1, axis2=2) - 1.0).max()
+    g = _band_period(stack) if len(stack) > 1 else 1
+    blocks = (stack[:, r::g, r::g] for r in range(g))
+    lo = reduce(
+        np.minimum,
+        (np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2.0).min() for b in blocks),
+    )
+    return DensityMargins(float(herm), float(drift), float(lo))
+
+
+def check_density(stack, error=ValueError) -> DensityMargins:
+    """Raise `error` unless every matrix of the (T, n, n) stack is a density matrix.
+
+    Tolerances: Hermiticity 1e-12, trace 1e-10, smallest eigenvalue >= -1e-10.
+    Input validation keeps ValueError; a map checking its own output passes
+    NumericalInvariantError.
+    """
+    m = density_margins(stack)
+    # negated comparisons, so that a NaN margin fails instead of passing
+    if not m.hermiticity <= _HERM_TOL:
+        raise error(f"matrix is not Hermitian: max deviation {m.hermiticity:.3e}")
+    if not m.trace_drift <= _TRACE_TOL:
+        raise error(f"trace deviates from 1 by {m.trace_drift:.3e}, beyond {_TRACE_TOL}")
+    if not m.min_eigenvalue >= _EIG_FLOOR:
+        raise error(
+            f"smallest eigenvalue {m.min_eigenvalue:.3e} below positivity floor {_EIG_FLOOR}"
+        )
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive (to round-off) mode state."""
@@ -88,16 +160,29 @@ class DensityMatrix:
         n = self.dim.size
         if mat.shape != (n, n):
             raise ValueError(f"expected {n}x{n} matrix, got shape {mat.shape}")
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > _HERM_TOL:
-            raise ValueError(f"matrix is not Hermitian: max deviation {herm_dev:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
-        lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)))
-        if lo < _EIG_FLOOR:
-            raise ValueError(f"smallest eigenvalue {lo:.3e} below positivity floor {_EIG_FLOOR}")
+        check_density(mat[None])
         object.__setattr__(self, "elements", _freeze(mat))
+
+    @classmethod
+    def from_map(cls, stack: np.ndarray, dim: FockDim) -> list:
+        """States a map produced, as a (T, n, n) stack checked in one pass.
+
+        A violated invariant here is a fault of the map, not of its input, so
+        it raises NumericalInvariantError.
+        """
+        stack = np.asarray(stack, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1:] != (dim.size, dim.size):
+            raise ValueError(
+                f"expected a stack of {dim.size}x{dim.size} matrices, got shape {stack.shape}"
+            )
+        check_density(stack, NumericalInvariantError)
+        states = []
+        for mat in stack:
+            state = object.__new__(cls)
+            object.__setattr__(state, "elements", _freeze(mat))
+            object.__setattr__(state, "dim", dim)
+            states.append(state)
+        return states
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import _evolve_matrix
+from .continuous import evolve_operator
 from .errors import UnboundedError
 
 _BLOCH_AZIMUTHAL = 32
@@ -148,7 +148,7 @@ def numeric_two_mode_check(spec: QubitSpec, eta: float, gamma_t: float) -> float
         (n, m): np.outer(ket_n, ket_m).astype(complex),
         (m, n): np.outer(ket_m, ket_n).astype(complex),
     }
-    evolved = {key: _evolve_matrix(op, eta, gamma_t) for key, op in ops.items()}
+    evolved = {key: evolve_operator(op, eta, gamma_t) for key, op in ops.items()}
 
     labels = ((n, m), (m, n))
     # Tr over both modes factorises into single-mode traces; the Bloch

@@ -1,7 +1,11 @@
 import json
+import sys
+import types
 
 import numpy as np
+import pytest
 
+import cavityfeedback.continuous as continuous
 from cavityfeedback.cli import main
 
 
@@ -229,3 +233,67 @@ class TestDeterminismAndEcho:
         # feed the sidecar back in as the config file
         assert run_cli(["strobo-pe", "--config", out1.with_suffix(".json"), "--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestFailureClasses:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fidelity-cat", "--steps", 4],
+            ["fidelity-fock", "--steps", 4],
+            ["wigner", "--gamma-t", 0.2, "--grid-points", 11],
+        ],
+    )
+    def test_fault_after_the_continuous_map_exits_3(self, args, tmp_path, monkeypatch, capsys):
+        # a propagator 1% too large breaks trace conservation after the map;
+        # that is a numerical failure, not a config error
+        real_expm = continuous.expm
+        monkeypatch.setattr(continuous, "expm", lambda a: 1.01 * real_expm(a))
+        if args[0] == "wigner":
+            cfg = {"evolution": {"kind": "continuous", "eta": 0.5}}
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            args = args + ["--config", tmp_path / "cfg.json"]
+        assert run_cli(args + ["--out", tmp_path / "out.csv"]) == 3
+        assert "numerical failure: trace" in capsys.readouterr().err
+
+
+class TestThreads:
+    ARGS = ["fidelity-fock", "--steps", 3, "--eta", "0.5"]
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+    def test_bad_value_exits_2(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("THREADS", value)
+        assert run_cli(self.ARGS + ["--out", tmp_path / "f.csv"]) == 2
+        assert "config error: THREADS" in capsys.readouterr().err
+
+    def test_cap_without_threadpoolctl_is_reported(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("THREADS", raising=False)
+        assert run_cli(self.ARGS + ["--out", tmp_path / "a.csv"]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("THREADS", "2")
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        assert run_cli(self.ARGS + ["--out", tmp_path / "b.csv"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["THREADS=2 not applied: threadpoolctl is not installed"]
+        for suffix in (".csv", ".json"):
+            a = (tmp_path / "a").with_suffix(suffix).read_bytes()
+            assert a == (tmp_path / "b").with_suffix(suffix).read_bytes()
+
+    def test_cap_applied_and_released(self, tmp_path, monkeypatch, capsys):
+        events = []
+
+        class Limiter:
+            def unregister(self):
+                events.append("released")
+
+        def threadpool_limits(limits):
+            events.append(limits)
+            return Limiter()
+
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_limits = threadpool_limits
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        monkeypatch.setenv("THREADS", "3")
+        assert run_cli(self.ARGS + ["--out", tmp_path / "f.csv"]) == 0
+        assert events == [3, "released"]
+        assert capsys.readouterr().err == ""

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from cavityfeedback import (
     CatParity,
@@ -13,13 +16,16 @@ from cavityfeedback import (
     diagonal_band,
     evolve_continuous,
     evolve_continuous_grid,
+    evolve_operator,
     fidelity,
+    fidelity_curve,
     fock_fidelity_analytic,
     fock_superposition,
     ideal_offdiagonal_decay,
     mean_amplitude_ideal,
     standard_phase_diffusion,
 )
+from cavityfeedback.fock import _band_period, density_margins
 from conftest import random_density
 
 
@@ -284,3 +290,119 @@ class TestDiagonalBand:
         rho = random_density(7, 6, seed=8)
         with pytest.raises(ValueError):
             diagonal_band(rho, 8)
+
+
+def liouvillian(eta, size):
+    """Dense generator of the feedback master equation on row-major vec(rho), gamma = 1."""
+    gen = np.zeros((size * size, size * size))
+    for n in range(size):
+        for m in range(size):
+            k = n * size + m
+            gen[k, k] = eta * np.sqrt(n * m) - (n + m) / 2.0
+            if n + 1 < size and m + 1 < size:
+                gen[k, k + size + 1] = (1.0 - eta) * np.sqrt((n + 1) * (m + 1))
+    return gen
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)  # same draws every run
+_DIM = FockDim(40)
+
+
+@st.composite
+def initial_states(draw):
+    """Odd/even cats and coherent states with alpha^2 in [0.5, 6], or |n> + |m>, n < m <= 20."""
+    kind = draw(st.sampled_from(["cat-odd", "cat-even", "coherent", "fock"]))
+    if kind == "fock":
+        m = draw(st.integers(1, 20))
+        n = draw(st.integers(0, m - 1))
+        return two_level_state(n, m, draw(st.floats(0.05, 0.95)), _DIM)
+    alpha = np.sqrt(draw(st.floats(0.5, 6.0))) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    if kind == "coherent":
+        return DensityMatrix.from_state(coherent_state(alpha, _DIM))
+    parity = CatParity.ODD if kind == "cat-odd" else CatParity.EVEN
+    return DensityMatrix.from_state(cat_state(alpha, parity, _DIM))
+
+
+grids = st.builds(
+    lambda gt, steps: np.linspace(0.0, gt, steps + 1),
+    st.floats(1e-3, 2.0),
+    st.integers(1, 12),
+)
+
+
+class TestBandCore:
+    @_PROPERTY
+    @given(eta=st.floats(0.0, 1.0), gt=st.floats(1e-3, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_operator_map_matches_dense_liouvillian(self, eta, gt, seed):
+        # any matrix, Hermitian or not, against one exponential of the full generator
+        rng = np.random.default_rng(seed)
+        size = 8
+        mat = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        mat[rng.random((size, size)) < 0.3] = 0.0
+        oracle = (expm(gt * liouvillian(eta, size)) @ mat.ravel()).reshape(size, size)
+        assert np.max(np.abs(evolve_operator(mat, eta, gt) - oracle)) < 1e-12
+
+    def test_zero_bands_get_no_propagator(self, monkeypatch, dim63):
+        import cavityfeedback.continuous as continuous
+
+        calls = []
+        real_expm = continuous.expm
+        monkeypatch.setattr(continuous, "expm", lambda a: calls.append(a.shape) or real_expm(a))
+        cat = DensityMatrix.from_state(cat_state(np.sqrt(5.0), CatParity.ODD, dim63))
+        fidelity_curve(cat, ContinuousParams(1.0, 0.5), np.linspace(0.0, 1.0, 5))
+        assert calls == [(64 - p, 64 - p) for p in range(0, 64, 2)]
+        calls.clear()
+        rho0 = two_level_state(2, 4, 1 / 3, dim63)
+        evolve_continuous_grid(rho0, ContinuousParams(1.0, 0.5), np.linspace(0.0, 1.0, 5))
+        assert calls == [(64, 64), (62, 62)]
+
+    def test_grid_states_are_checked_as_map_output(self, monkeypatch, dim63):
+        import cavityfeedback.continuous as continuous
+        from cavityfeedback import NumericalInvariantError
+
+        real_expm = continuous.expm
+        monkeypatch.setattr(continuous, "expm", lambda a: 1.01 * real_expm(a))
+        rho0 = two_level_state(2, 4, 1 / 3, dim63)
+        times = np.linspace(0.0, 1.0, 5)
+        for run in (
+            lambda: fidelity_curve(rho0, ContinuousParams(1.0, 0.5), times),
+            lambda: evolve_continuous_grid(rho0, ContinuousParams(1.0, 0.5), times),
+            lambda: evolve_continuous(rho0, ContinuousParams(1.0, 0.5), 0.5),
+        ):
+            with pytest.raises(NumericalInvariantError, match="trace"):
+                run()
+
+
+class TestFidelityCurveProperties:
+    @_PROPERTY
+    @given(rho0=initial_states(), eta=st.floats(0.0, 1.0), times=grids)
+    def test_matches_dense_states(self, rho0, eta, times):
+        params = ContinuousParams(1.0, eta)
+        curve = fidelity_curve(rho0, params, times)
+        dense = [fidelity(rho0, s) for s in evolve_continuous_grid(rho0, params, times)]
+        assert np.max(np.abs(curve.fidelity - dense)) <= 1e-12
+        assert curve.margins.trace_drift <= 1e-10
+        assert curve.margins.hermiticity <= 1e-12
+        assert curve.margins.min_eigenvalue >= -1e-10
+
+    @_PROPERTY
+    @given(
+        g=st.sampled_from([2, 3]),
+        r=st.integers(0, 2),
+        extra=st.lists(st.integers(2, 5), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        eta=st.floats(0.0, 1.0),
+        times=grids,
+    )
+    def test_block_split_spectrum_equals_full(self, g, r, extra, seed, eta, times):
+        # |r> + |r + g> (+ further levels of the same class): band period exactly g
+        levels = sorted({r, r + g} | {r + g * k for k in extra})
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=len(levels)) + 1j * rng.normal(size=len(levels))
+        coeffs /= np.linalg.norm(coeffs)
+        rho0 = DensityMatrix.from_state(fock_superposition(zip(levels, coeffs), _DIM))
+        states = evolve_continuous_grid(rho0, ContinuousParams(1.0, eta), times)
+        stack = np.array([s.elements for s in states])
+        assert _band_period(stack) == g
+        full = min(float(np.min(np.linalg.eigvalsh(s.elements))) for s in states)
+        assert abs(density_margins(stack).min_eigenvalue - full) <= 1e-14

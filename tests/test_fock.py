@@ -7,6 +7,7 @@ from cavityfeedback import (
     DensityMatrix,
     DimMismatchError,
     FockDim,
+    NumericalInvariantError,
     StateVector,
     TruncationError,
     cat_state,
@@ -16,7 +17,15 @@ from cavityfeedback import (
     mean_amplitude,
     parity_expectation,
 )
+from cavityfeedback.fock import _band_period, density_margins
 from conftest import random_density
+
+_BAD_MATRICES = {
+    "hermiticity": np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex),
+    "trace": np.diag([0.6, 0.6]).astype(complex),
+    "positivity": np.diag([1.5, -0.5]).astype(complex),
+    "not a number": np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex),
+}
 
 
 class TestCoherentState:
@@ -200,6 +209,25 @@ class TestInvariantEnforcement:
         with pytest.raises(ValueError):
             DensityMatrix(mat, FockDim(1))
 
+    @pytest.mark.parametrize("broken", sorted(_BAD_MATRICES))
+    def test_map_output_failures_are_numerical(self, broken):
+        # the same violation is bad input to the constructor but a numerical
+        # fault when a map produced it, at any position in the stack
+        good = np.diag([0.5, 0.5]).astype(complex)
+        stack = np.array([good, good, _BAD_MATRICES[broken]])
+        with pytest.raises(NumericalInvariantError):
+            DensityMatrix.from_map(stack, FockDim(1))
+        with pytest.raises(ValueError):
+            DensityMatrix(_BAD_MATRICES[broken], FockDim(1))
+
+    def test_map_output_states(self):
+        stack = np.array([random_density(7, 6, seed).elements for seed in range(3)])
+        states = DensityMatrix.from_map(stack, FockDim(7))
+        checked = [DensityMatrix(m, FockDim(7)) for m in stack]
+        assert [s.digest() for s in states] == [s.digest() for s in checked]
+        with pytest.raises(ValueError):
+            states[0].elements[0, 0] = 2.0
+
     def test_immutability(self, dim63):
         rho = DensityMatrix.from_state(coherent_state(1.0, dim63))
         with pytest.raises(ValueError):
@@ -208,3 +236,30 @@ class TestInvariantEnforcement:
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             FockDim(0)
+
+
+class TestDensityMargins:
+    @pytest.mark.parametrize(
+        "terms, period",
+        [
+            ([(0, 1.0)], 64),  # diagonal: one 1x1 block per level
+            ([(0, np.sqrt(0.5)), (3, np.sqrt(0.5))], 3),
+            ([(1, np.sqrt(0.5)), (7, np.sqrt(0.5))], 6),
+            ([(1, np.sqrt(0.5)), (2, np.sqrt(0.5))], 1),
+        ],
+    )
+    def test_band_period(self, terms, period, dim63):
+        rho = DensityMatrix.from_state(fock_superposition(terms, dim63))
+        assert _band_period(rho.elements[None]) == period
+
+    @pytest.mark.parametrize("parity", [CatParity.EVEN, CatParity.ODD])
+    def test_cat_blocks_give_the_full_spectrum(self, parity, dim63):
+        rho = DensityMatrix.from_state(cat_state(np.sqrt(5.0), parity, dim63))
+        mixed = 0.7 * rho.elements + 0.3 * np.diag(np.full(64, 1.0 / 64))
+        stack = np.array([rho.elements, mixed])
+        assert _band_period(stack) == 2
+        margins = density_margins(stack)
+        full = min(np.min(np.linalg.eigvalsh(m)) for m in stack)
+        assert abs(margins.min_eigenvalue - full) <= 1e-15
+        assert margins.hermiticity == 0.0
+        assert margins.trace_drift <= 1e-15
