@@ -13,8 +13,14 @@ effect on the field is a clean one-photon up-shift of every density-matrix
 element, which is exactly the feedback operation the continuous scheme needs.
 
 Sectors decouple, -iH_n is real antisymmetric, and the atom starts in a real
-state, so the integration runs on real vectors with a fixed-step fourth-order
-scheme validated by step halving.
+state, so the integration runs on real vectors with classical fixed-step RK4,
+validated by step halving.  One blocked stepper serves every sector and every
+caller.  The ODE is linear, so each RK4 step is a 3x3 matrix; with
+r = sqrt(n+1) it is a polynomial of degree four in r whose coefficients
+depend only on the pulses, so they are built once per step and evaluated at
+every sector in one product.  Steps are applied a chunk at a time: products
+over blocks of consecutive steps carry the state from block to block, and
+the states inside all blocks then follow together.
 """
 from __future__ import annotations
 
@@ -98,47 +104,107 @@ class ManifoldState:
         return np.sum(np.abs(self.sectors) ** 2, axis=1)
 
 
-def dark_state(n: int, g: float, omega: float) -> np.ndarray:
-    """Zero-energy sector eigenvector (g sqrt(n+1), 0, omega), normalised."""
+def dark_state(n: int, g, omega) -> np.ndarray:
+    """Zero-energy sector eigenvector (g sqrt(n+1), 0, omega), normalised.
+
+    g and omega may be arrays of one shape; the components then run along
+    the first axis of the result.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     big_g = g * np.sqrt(n + 1.0)
     norm2 = big_g**2 + omega**2
-    if norm2 <= 0.0:
+    if np.any(norm2 <= 0.0):
         raise DegenerateError("dark state undefined when both couplings vanish")
-    return np.array([big_g, 0.0, omega]) / np.sqrt(norm2)
+    return np.stack((big_g, np.zeros_like(big_g), omega)) / np.sqrt(norm2)
+
+
+# A chunk is _BLOCK blocks of _BLOCK steps and costs about 3 * _BLOCK numpy calls
+# instead of _BLOCK**2; it holds the step matrices of one chunk at a time.
+_BLOCK = 12
+_CHUNK = _BLOCK * _BLOCK
+
+
+def _deriv(z, g, om):
+    """A(t) Z, where Z = sum_p z[p] r^p is a polynomial in r = sqrt(n+1).
+
+    z has shape (5, 3, ...): coefficient, state component, then any axes
+    that g and om broadcast against.  The g terms raise the degree by one.
+    """
+    out = np.zeros_like(z)
+    out[:, 0] = -om * z[:, 1]
+    out[:, 1] = om * z[:, 0]
+    out[1:, 1] -= g * z[:-1, 2]
+    out[1:, 2] = g * z[:-1, 1]
+    return out
+
+
+def _step_polynomials(pulses: PulsePair, t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Coefficients C_p of the RK4 step matrices sum_p C_p r^p, shape (5, 3, 3) + t.shape.
+
+    The step from each time t with size h, applied to the identity; an entry
+    of h equal to 0 gives the identity step.
+    """
+    g_a, om_a = pulses.values(t)
+    g_b, om_b = pulses.values(t + h / 2.0)
+    g_c, om_c = pulses.values(t + h)
+    y = np.zeros((5, 3, 3) + t.shape)
+    y[0, [0, 1, 2], [0, 1, 2]] = 1.0
+    k1 = _deriv(y, g_a, om_a)
+    k2 = _deriv(y + 0.5 * h * k1, g_b, om_b)
+    k3 = _deriv(y + 0.5 * h * k2, g_b, om_b)
+    k4 = _deriv(y + h * k3, g_c, om_c)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _crossing_states(pulses: PulsePair, roots: np.ndarray, steps: int):
+    """Classical RK4 from |g1> in sectors with coupling scales `roots` = sqrt(n+1).
+
+    Yields, one chunk of steps at a time, (t_end, y): the time after each
+    step of the chunk and the states there, y[component, sector, step].
+    """
+    h = pulses.t_cross / steps
+    powers = roots[:, None] ** np.arange(5)
+    n_sec = len(roots)
+    y = np.zeros((3, n_sec))
+    y[0] = 1.0
+    for first in range(0, steps, _CHUNK):
+        # step first + b * _BLOCK + j sits at [j, b]; steps past the end get h = 0
+        index = first + np.arange(_CHUNK).reshape(_BLOCK, _BLOCK).T
+        coef = _step_polynomials(pulses, index * h, np.where(index < steps, h, 0.0))
+        # m[j][:, :, s, b] is the matrix of step j of block b in sector s; one
+        # array per j keeps each allocation small, so the heap does not grow
+        per_step = coef.reshape(5, 9, _BLOCK, _BLOCK).transpose(2, 1, 0, 3)
+        m = [np.matmul(powers, c).reshape(3, 3, n_sec, _BLOCK) for c in per_step]
+        block = m[0]  # product of each block's steps, all blocks at once
+        for j in range(1, _BLOCK):
+            block = np.einsum("ijsb,jksb->iksb", m[j], block)
+        starts = np.empty((3, n_sec, _BLOCK))  # block start states, one after another
+        starts[:, :, 0] = y
+        for b in range(1, _BLOCK):
+            starts[:, :, b] = np.einsum("ijs,js->is", block[..., b - 1], starts[:, :, b - 1])
+        states = np.empty((3, n_sec, _BLOCK, _BLOCK))  # every state, all blocks at once
+        y = starts
+        for j in range(_BLOCK):
+            y = np.einsum("ijsb,jsb->isb", m[j], y)
+            states[..., j] = y
+        count = min(_CHUNK, steps - first)
+        states = states.reshape(3, n_sec, _CHUNK)[:, :, :count]
+        y = states[:, :, -1]
+        yield (first + np.arange(count)) * h + h, states
 
 
 def _integrate(pulses: PulsePair, n_sectors: int, steps: int, weights: np.ndarray):
     """Propagate every sector from |g1,n>; returns final amplitudes and peaks.
 
-    weights are the field populations used for the excited-state bookkeeping.
+    The amplitudes have shape (n_sectors, 3).  weights are the field
+    populations used for the excited-state bookkeeping.
     """
-    root = np.sqrt(np.arange(1, n_sectors + 1, dtype=float))
-    y = np.zeros((n_sectors, 3))
-    y[:, 0] = 1.0
-    h = pulses.t_cross / steps
-    t_nodes = np.arange(steps) * h
-    g_a, om_a = pulses.values(t_nodes)
-    g_b, om_b = pulses.values(t_nodes + h / 2.0)
-    g_c, om_c = pulses.values(t_nodes + h)
-
-    def deriv(state, g, om):
-        gv = g * root
-        return np.stack(
-            (-om * state[:, 1], om * state[:, 0] - gv * state[:, 2], gv * state[:, 1]),
-            axis=1,
-        )
-
-    peak_e = float(np.sum(weights * y[:, 1] ** 2))
-    for i in range(steps):
-        k1 = deriv(y, g_a[i], om_a[i])
-        k2 = deriv(y + 0.5 * h * k1, g_b[i], om_b[i])
-        k3 = deriv(y + 0.5 * h * k2, g_b[i], om_b[i])
-        k4 = deriv(y + h * k3, g_c[i], om_c[i])
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        peak_e = max(peak_e, float(np.sum(weights * y[:, 1] ** 2)))
-    return y, peak_e
+    roots = np.sqrt(np.arange(1, n_sectors + 1, dtype=float))
+    peak_e = 0.0  # the start state |g1> has no excited population
+    for _, y in _crossing_states(pulses, roots, steps):
+        peak_e = max(peak_e, float(np.max(weights @ y[1] ** 2)))
+    return y[:, :, -1].T, peak_e
 
 
 def _transfer_fidelity(rho: np.ndarray, a: np.ndarray) -> float:
@@ -179,7 +245,7 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
     shifted = rho * np.outer(a, a)
     final[1:, 1:] += shifted[:-1, :-1]
     final = (final + final.conj().T) / 2.0
-    return DensityMatrix(final, field_rho.dim), f_fine, peak_e
+    return DensityMatrix.from_map(final[None], field_rho.dim)[0], f_fine, peak_e
 
 
 def crossing_amplitudes(pulses: PulsePair, n_sectors: int, steps: int) -> ManifoldState:
@@ -199,29 +265,14 @@ def minimum_dark_overlap(pulses: PulsePair, n: int, steps: int) -> float:
 
     Diagnostic for the adiabatic-following quality of one photon sector.
     """
-    root = np.sqrt(n + 1.0)
-    y = np.array([1.0, 0.0, 0.0])
-    h = pulses.t_cross / steps
+    if n < 0 or steps < 1:
+        raise ValueError("need n >= 0 and steps >= 1")
     worst = 1.0
-
-    def deriv(state, g, om):
-        gv = g * root
-        return np.array(
-            (-om * state[1], om * state[0] - gv * state[2], gv * state[1])
-        )
-
-    for i in range(steps):
-        t = i * h
-        g1, o1 = pulses.values(t)
-        g2, o2 = pulses.values(t + h / 2.0)
-        g3, o3 = pulses.values(t + h)
-        k1 = deriv(y, g1, o1)
-        k2 = deriv(y + 0.5 * h * k1, g2, o2)
-        k3 = deriv(y + 0.5 * h * k2, g2, o2)
-        k4 = deriv(y + h * k3, g3, o3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        dark = dark_state(n, float(g3), float(o3))
-        worst = min(worst, float(np.dot(dark, y) ** 2 / np.dot(y, y)))
+    for t_end, states in _crossing_states(pulses, np.array([np.sqrt(n + 1.0)]), steps):
+        dark = dark_state(n, *pulses.values(t_end))
+        y = states[:, 0]
+        overlap = np.sum(dark * y, axis=0) ** 2 / np.sum(y * y, axis=0)
+        worst = min(worst, float(np.min(overlap)))
     return worst
 
 

@@ -129,7 +129,7 @@ def feedback_atom_map(rho: DensityMatrix, mu: float) -> DensityMatrix:
     one-photon-up shift sin(mu sqrt(n)) sin(mu sqrt(m)) rho_{n-1,m-1}.
     """
     out = _feedback_atom_elements(np.asarray(rho.elements), mu)
-    return DensityMatrix(out, rho.dim)
+    return DensityMatrix.from_map(out[None], rho.dim)[0]
 
 
 def _feedback_superop_elements(arr: np.ndarray, params: StroboParams) -> np.ndarray:
@@ -152,7 +152,7 @@ def feedback_superop(rho: DensityMatrix, params: StroboParams) -> DensityMatrix:
     measurement still removes coherences between the two parity sectors.
     """
     out = _feedback_superop_elements(np.asarray(rho.elements), params)
-    return DensityMatrix(out, rho.dim)
+    return DensityMatrix.from_map(out[None], rho.dim)[0]
 
 
 def _kraus_log_table(n_dim: int, gamma_T: float) -> np.ndarray:
@@ -191,7 +191,7 @@ def dissipation_map(rho: DensityMatrix, gamma_T: float) -> DensityMatrix:
     if gamma_T < 0:
         raise ValueError("gamma_T must be >= 0")
     out = _dissipation_elements(np.asarray(rho.elements), gamma_T)
-    return DensityMatrix(out, rho.dim)
+    return DensityMatrix.from_map(out[None], rho.dim)[0]
 
 
 def strobo_step(rho: DensityMatrix, params: StroboParams) -> DensityMatrix:
@@ -199,7 +199,7 @@ def strobo_step(rho: DensityMatrix, params: StroboParams) -> DensityMatrix:
     arr = _feedback_superop_elements(np.asarray(rho.elements), params)
     arr = _dissipation_elements(arr, params.gamma_T)
     arr = (arr + arr.conj().T) / 2.0
-    return DensityMatrix(arr, rho.dim)
+    return DensityMatrix.from_map(arr[None], rho.dim)[0]
 
 
 def build_band_matrix(p: int, params: StroboParams, dim: FockDim) -> BandMatrix:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cavityfeedback.continuous as continuous
+import cavityfeedback.strobo as strobo
 from cavityfeedback.cli import main
 
 
@@ -236,19 +237,24 @@ class TestDeterminismAndEcho:
 
 
 class TestFailureClasses:
+    # what each command's map is built from; the test scales it by 1.01
+    MAP_INPUTS = {"strobo-pe": (strobo, "_kraus_log_table")}
+
     @pytest.mark.parametrize(
         "args",
         [
             ["fidelity-cat", "--steps", 4],
             ["fidelity-fock", "--steps", 4],
             ["wigner", "--gamma-t", 0.2, "--grid-points", 11],
+            ["strobo-pe", "--gamma-t", 0.1],
         ],
     )
     def test_fault_after_the_continuous_map_exits_3(self, args, tmp_path, monkeypatch, capsys):
-        # a propagator 1% too large breaks trace conservation after the map;
-        # that is a numerical failure, not a config error
-        real_expm = continuous.expm
-        monkeypatch.setattr(continuous, "expm", lambda a: 1.01 * real_expm(a))
+        # a propagator or Kraus table 1% too large breaks trace conservation
+        # after the map; that is a numerical failure, not a config error
+        module, name = self.MAP_INPUTS.get(args[0], (continuous, "expm"))
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: 1.01 * real(*a))
         if args[0] == "wigner":
             cfg = {"evolution": {"kind": "continuous", "eta": 0.5}}
             (tmp_path / "cfg.json").write_text(json.dumps(cfg))

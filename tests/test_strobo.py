@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityfeedback import (
     BandMatrix,
@@ -25,6 +27,7 @@ from cavityfeedback import (
     strobo_step,
     trace_distance,
 )
+from cavityfeedback.fock import density_margins
 from conftest import random_density, random_parity_density
 
 
@@ -364,3 +367,55 @@ class TestGeneralisedProbePulses:
     def test_generic_settings_do_not_project(self, c_e, c_g, phi):
         k_e, k_g = self.conditional_kernels(c_e, c_g, phi)
         assert not (self.is_projector_valued(k_e) and self.is_projector_valued(k_g))
+
+
+_PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)  # same draws every run
+_DIM = FockDim(31)
+_CROSS = (np.arange(32)[:, None] + np.arange(32)[None, :]) % 2 == 1
+
+params_drawn = st.builds(
+    StroboParams, eta=st.floats(0.0, 1.0), mu=st.floats(0.0, np.pi), gamma_T=st.floats(0.0, 2.0)
+)
+
+
+@st.composite
+def field_states(draw):
+    """Odd or even cats and coherent states, alpha^2 in [0.2, 5], any phase."""
+    kind = draw(st.sampled_from(["cat-odd", "cat-even", "coherent"]))
+    alpha = np.sqrt(draw(st.floats(0.2, 5.0))) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    if kind == "coherent":
+        return DensityMatrix.from_state(coherent_state(alpha, _DIM))
+    parity = CatParity.ODD if kind == "cat-odd" else CatParity.EVEN
+    return DensityMatrix.from_state(cat_state(alpha, parity, _DIM))
+
+
+class TestStroboProperties:
+    @_PROPERTY
+    @given(rho=field_states(), params=params_drawn)
+    def test_maps_keep_trace_and_positivity(self, rho, params):
+        outs = (
+            feedback_atom_map(rho, params.mu),
+            feedback_superop(rho, params),
+            dissipation_map(rho, params.gamma_T),
+            strobo_step(rho, params),
+        )
+        for out in outs:
+            m = density_margins(out.elements[None])
+            assert m.hermiticity <= 1e-12
+            assert m.trace_drift <= 1e-10
+            assert m.min_eigenvalue >= -1e-10
+
+    @_PROPERTY
+    @given(rho=field_states(), params=params_drawn)
+    def test_band_path_matches_dense_step(self, rho, params):
+        dense = strobo_step(rho, params).elements
+        assert np.max(np.abs(step_with_bands(rho, params) - dense)) < 1e-12
+        # the parity measurement removes every odd-even coherence in one step
+        assert np.max(np.abs(dense[_CROSS])) == 0.0
+
+    @_PROPERTY
+    @given(rho=field_states(), params=params_drawn, steps=st.integers(1, 6))
+    def test_sequence_probabilities_sum_to_one(self, rho, params, steps):
+        for rec in run_sequence(rho, params, steps).records:
+            assert abs(rec.p_e + rec.p_g - 1.0) <= 1e-10
+            assert min(rec.p_e, rec.p_g) >= -1e-12
