@@ -13,6 +13,7 @@ formatting.  Exit codes: 0 success, 2 config validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -107,10 +108,6 @@ _DEFAULTS = {
 }
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
-
-
 def _require(cfg, key, kind, command):
     if key not in cfg:
         raise ConfigError(key, f"missing for {command}")
@@ -185,6 +182,12 @@ def _time_grid(cfg):
 
 
 def cmd_fidelity_cat(cfg):
+    """Cat fidelity curves, one column per detector efficiency.
+
+    The `trace_conservation` check reports a margin, not a second gate: the
+    band core raises NumericalInvariantError at a trace drift above 1e-10,
+    so a run that reaches the check always passes its 1e-9 tolerance.
+    """
     alpha2 = _require(cfg, "alpha2", float, "fidelity-cat")
     if alpha2 <= 0:
         raise ConfigError("alpha2", "must be positive")
@@ -210,7 +213,7 @@ def cmd_fidelity_cat(cfg):
         )
         checks.append(_check("no_feedback_column_vs_closed_form", dev, 1e-6))
     header = ["gamma_t"] + [f"F_eta={eta:g}" for eta in etas]
-    rows = [[t] + [columns[eta][i] for eta in etas] for i, t in enumerate(times)]
+    rows = np.column_stack([times] + [columns[eta] for eta in etas])
     return header, rows, checks, {}
 
 
@@ -231,25 +234,17 @@ def cmd_fidelity_fock(cfg):
     beta2 = 1.0 - alpha2
     state = fock_superposition([(n, np.sqrt(alpha2)), (m, np.sqrt(beta2))], dim)
     rho0 = DensityMatrix.from_state(state)
-    header = ["gamma_t"]
-    numeric, analytic = {}, {}
+    header, columns = ["gamma_t"], [times]
     worst_dev = 0.0
     for eta in etas:
         params = ContinuousParams(1.0, eta)
-        numeric[eta] = fidelity_curve(rho0, params, times).fidelity
-        analytic[eta] = [fock_fidelity_analytic(alpha2, beta2, n, m, params, t) for t in times]
-        worst_dev = max(
-            worst_dev, max(abs(a - b) for a, b in zip(numeric[eta], analytic[eta]))
-        )
+        numeric = fidelity_curve(rho0, params, times).fidelity
+        analytic = [fock_fidelity_analytic(alpha2, beta2, n, m, params, t) for t in times]
+        worst_dev = max(worst_dev, max(abs(a - b) for a, b in zip(numeric, analytic)))
         header += [f"F_num_eta={eta:g}", f"F_ana_eta={eta:g}"]
+        columns += [numeric, analytic]
     checks = [_check("numeric_vs_analytic", worst_dev, 1e-6)]
-    rows = []
-    for i, t in enumerate(times):
-        row = [t]
-        for eta in etas:
-            row += [numeric[eta][i], analytic[eta][i]]
-        rows.append(row)
-    return header, rows, checks, {}
+    return header, np.column_stack(columns), checks, {}
 
 
 def cmd_wigner(cfg):
@@ -311,11 +306,8 @@ def cmd_wigner(cfg):
         )
         extras["fringe_visibility"] = fringe_visibility(wg)
     header = ["x", "y", "W"]
-    rows = [
-        [wg.axis1[i], wg.axis2[j], wg.values[i, j]]
-        for i in range(points)
-        for j in range(points)
-    ]
+    xg, yg = np.meshgrid(wg.axis1, wg.axis2, indexing="ij")
+    rows = np.column_stack([xg.ravel(), yg.ravel(), wg.values.ravel()])
     return header, rows, checks, extras
 
 
@@ -365,19 +357,18 @@ def cmd_strobo_pe(cfg):
     )
     checks.append(_check("probability_normalisation", prob_dev, 1e-10))
 
-    header = ["step"]
-    for i, (mu, gamma_T, _) in enumerate(traces):
-        header += [f"gt_set{i}", f"pe_set{i}"]
+    # the step column is stored as floats ("%.12g" writes them as integers);
+    # cells past the end of a shorter set are masked and written blank
     n_rows = max(len(tr.records) for _, _, tr in traces)
-    rows = []
-    for k in range(n_rows):
-        row = [k]
-        for _, gamma_T, tr in traces:
-            if k < len(tr.records):
-                row += [k * gamma_T, tr.records[k].p_e]
-            else:
-                row += ["", ""]
-        rows.append(row)
+    steps = np.arange(n_rows, dtype=float)
+    header = ["step"]
+    rows = np.ma.masked_all((n_rows, 1 + 2 * len(traces)))
+    rows[:, 0] = steps
+    for i, (_, gamma_T, tr) in enumerate(traces):
+        header += [f"gt_set{i}", f"pe_set{i}"]
+        k = len(tr.records)
+        rows[:k, 2 * i + 1] = steps[:k] * gamma_T
+        rows[:k, 2 * i + 2] = [rec.p_e for rec in tr.records]
     extras = {
         "sets": [[mu, gt] for mu, gt, _ in traces],
         "stationary_pe": stationary,
@@ -412,7 +403,7 @@ def cmd_qubit_protect(cfg):
         "n_opt_table": table,
     }
     header = ["gamma_t", "f_min"]
-    rows = [[t, f] for t, f in zip(times, curve)]
+    rows = np.column_stack([times, curve])
     return header, rows, checks, extras
 
 
@@ -437,7 +428,8 @@ def cmd_adiabatic(cfg):
         pulses = standard_pulses(area, area, 1.0)
         _, fid, peak = integrate_crossing(rho, pulses, steps)
         rows.append([area, fid, peak])
-    worst_range = max(max(-r[1], r[1] - 1.0, -r[2], r[2] - 1.0) for r in rows)
+    rows = np.array(rows)
+    worst_range = max(-rows[:, 1:].min(), rows[:, 1:].max() - 1.0)
     checks = [_check("fidelities_and_populations_in_range", max(worst_range, 0.0), 1e-9)]
 
     n_bar = _require(cfg, "n_bar", float, "adiabatic")
@@ -464,19 +456,26 @@ _COMMANDS = {
 }
 
 
-def _write_outputs(out_path: Path, command: str, cfg: dict, header, rows, checks, extras):
+def _csv_text(header, rows) -> str:
+    """CSV text of a 2-D float table, every cell "%.12g", masked cells blank.
+
+    A non-finite unmasked cell raises NumericalInvariantError.
+    """
+    data = np.ma.getdata(rows)
+    mask = np.ma.getmaskarray(rows)
+    bad = ~np.isfinite(data) & ~mask
+    if bad.any():
+        raise NumericalInvariantError(f"non-finite value {data[bad][0]!r} in output row")
+    cells = list(map("%.12g".__mod__, data.ravel().tolist()))
+    for k in np.flatnonzero(mask):
+        cells[k] = ""
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if v == "":
-                cells.append("")
-                continue
-            if not isinstance(v, int) and not np.isfinite(v):
-                raise NumericalInvariantError(f"non-finite value {v!r} in output row")
-            cells.append(str(v) if isinstance(v, int) else _fmt(v))
-        lines.append(",".join(cells))
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    lines += map(",".join, zip(*[iter(cells)] * len(header)))
+    return "\n".join(lines) + "\n"
+
+
+def _write_outputs(out_path: Path, command: str, cfg: dict, header, rows, checks, extras):
+    out_path.write_text(_csv_text(header, rows), encoding="utf-8", newline="\n")
 
     sidecar = {
         "command": command,
@@ -531,6 +530,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, required=True, help="output CSV path")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Every build leaves argparse reference cycles to the cyclic collector, so
+    a parser built per `main` call grows the heap with the number of calls.
+    """
+    return _build_parser()
 
 
 def _resolve(command: str, args) -> dict:
@@ -602,8 +611,7 @@ def _thread_cap():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _resolve(args.command, args)
         out_path = Path(args.out)

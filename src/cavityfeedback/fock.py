@@ -206,7 +206,9 @@ def coherent_state(alpha: complex, dim: FockDim) -> StateVector:
 
     Raises TruncationError when the untruncated Poisson weight beyond n_max
     exceeds 1e-10; requires |alpha|^2 <= n_max / 4 so the basis comfortably
-    covers the photon-number distribution.
+    covers the photon-number distribution.  A larger |alpha|^2 raises
+    ValueError (CLI exit 2, a config error): the caller chose a basis too small
+    for the requested state, and "enlarge the basis" is the fix.
     """
     alpha = complex(alpha)
     a2 = abs(alpha) ** 2

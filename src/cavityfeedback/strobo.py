@@ -254,7 +254,11 @@ def build_band_matrix(p: int, params: StroboParams, dim: FockDim) -> BandMatrix:
 
 
 def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
-    """Fixed point of the stroboscopic map from the diagonal band matrix."""
+    """Fixed point of the stroboscopic map from the diagonal band matrix.
+
+    A fixed point that fails the density-matrix invariants is a fault of the
+    computation and raises NumericalInvariantError.
+    """
     if not params.gamma_T > 0:
         raise ValueError("stationary state requires gamma_T > 0")
     a0 = build_band_matrix(0, params, dim)
@@ -267,7 +271,7 @@ def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
         raise NumericalInvariantError("no eigenvalue of the step matrix lies at 1")
     vec = np.real(vecs[:, int(np.argmax(at_one))])
     vec = vec / np.sum(vec)
-    return DensityMatrix(np.diag(vec.astype(complex)), dim)
+    return DensityMatrix.from_map(np.diag(vec.astype(complex))[None], dim)[0]
 
 
 def analytic_stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:

@@ -155,11 +155,15 @@ def _transform_cartesian(op: np.ndarray, grid: CartesianGrid) -> np.ndarray:
     xg, yg = np.meshgrid(grid.x, grid.y, indexing="ij")
     r = np.hypot(xg, yg).ravel()
     theta = np.arctan2(yg, xg).ravel()
-    coeffs = _band_coefficients(op, r)
+    # the recurrence is elementwise in r, so it runs once per distinct radius;
+    # each band is scattered back to the grid only while it is summed
+    radii, at = np.unique(r, return_inverse=True)
+    coeffs = _band_coefficients(op, radii)
     w = np.zeros_like(r)
     for d, c in enumerate(coeffs):
         if c is None:
             continue
+        c = c[at]
         if d == 0:
             w += c.real
         else:

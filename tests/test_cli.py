@@ -1,12 +1,21 @@
 import json
+import os
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import cavityfeedback
+import cavityfeedback.cli as cli
 import cavityfeedback.continuous as continuous
 import cavityfeedback.strobo as strobo
+from cavityfeedback import NumericalInvariantError
 from cavityfeedback.cli import main
 
 
@@ -303,3 +312,122 @@ class TestThreads:
         assert run_cli(self.ARGS + ["--out", tmp_path / "f.csv"]) == 0
         assert events == [3, "released"]
         assert capsys.readouterr().err == ""
+
+
+def reference_csv(header, rows) -> str:
+    """The per-cell writer the vectorised one replaced, kept as its oracle.
+
+    Cells are ints (written with str), "" (blank) or floats (written "%.12g").
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for v in row:
+            if v == "":
+                cells.append("")
+                continue
+            if not isinstance(v, int) and not np.isfinite(v):
+                raise NumericalInvariantError(f"non-finite value {v!r} in output row")
+            cells.append(str(v) if isinstance(v, int) else format(float(v), ".12g"))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+# edge cases: signed zero, the smallest subnormal, huge magnitudes, integer-valued
+# floats up to 1e11, and values with more than 12 significant digits
+_EDGE_CELLS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e11, -1e11, 123456789012.5,
+               0.1234567890123456, 1.0000000000005, 2.0 / 3.0, 99999999999.99]
+cell_values = st.one_of(
+    st.sampled_from(_EDGE_CELLS),
+    st.integers(-10**11, 10**11).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def masked_tables(draw):
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 6)))
+    data = draw(hnp.arrays(np.float64, shape, elements=cell_values))
+    mask = draw(hnp.arrays(np.bool_, shape))
+    return np.ma.array(data, mask=mask)
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(table=masked_tables())
+    def test_bytes_match_the_per_cell_writer(self, table):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        rows = [
+            ["" if m else v for v, m in zip(data_row, mask_row)]
+            for data_row, mask_row in zip(table.data.tolist(), table.mask.tolist())
+        ]
+        assert cli._csv_text(header, table) == reference_csv(header, rows)
+        assert cli._csv_text(header, table.data) == reference_csv(header, table.data.tolist())
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(k=st.integers(0, 10**12 - 1))
+    def test_float_step_column_writes_as_int(self, k):
+        assert "%.12g" % float(k) == str(k)
+
+    def test_strobo_step_column_matches_int_cells(self):
+        steps = np.arange(3.0)
+        table = np.ma.masked_all((3, 2))
+        table[:, 0] = steps
+        table[:2, 1] = [0.5, 0.25]
+        expected = reference_csv(["step", "pe"], [[0, 0.5], [1, 0.25], [2, ""]])
+        assert cli._csv_text(["step", "pe"], table) == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_raises(self, bad):
+        table = np.ma.array([[0.0, 1.0], [2.0, bad]])
+        with pytest.raises(NumericalInvariantError, match="non-finite"):
+            cli._csv_text(["a", "b"], table)
+        table[1, 1] = np.ma.masked  # a blank cell is never checked
+        assert cli._csv_text(["a", "b"], table) == "a,b\n0,1\n2,\n"
+
+    def test_non_finite_output_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "min_fidelity", lambda *a: float("nan"))
+        out = tmp_path / "qb.csv"
+        assert run_cli(["qubit-protect", "--steps", 3, "--out", out]) == 3
+        assert "numerical failure: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, monkeypatch):
+        built = []
+        real = cli._build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            assert run_cli(["qubit-protect", "--steps", 3, "--out", tmp_path / "a.csv"]) == 0
+            assert run_cli(["fidelity-fock", "--steps", 3, "--out", tmp_path / "b.csv"]) == 0
+            assert run_cli(["strobo-pe", "--gamma-t", 0.1, "--out", tmp_path / "c.csv"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_no_flag_state_leaks_between_calls(self, tmp_path):
+        flagged = ["qubit-protect", "--eta", "0.3", "--steps", 10]
+        assert run_cli(flagged + ["--out", tmp_path / "a.csv"]) == 0
+        assert run_cli(["qubit-protect", "--out", tmp_path / "b.csv"]) == 0
+        src = str(Path(cavityfeedback.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        fresh = [sys.executable, "-m", "cavityfeedback.cli", "qubit-protect"]
+        assert subprocess.run(fresh + ["--out", str(tmp_path / "c.csv")], env=env).returncode == 0
+        for suffix in (".csv", ".json"):
+            in_process = (tmp_path / "b").with_suffix(suffix).read_bytes()
+            assert in_process == (tmp_path / "c").with_suffix(suffix).read_bytes()
+
+
+class TestUndersizedBasis:
+    def test_is_a_config_error(self, tmp_path, capsys):
+        # the user chose a basis too small for the requested state
+        assert run_cli(["wigner", "--alpha2", 20, "--dim", 63, "--out", tmp_path / "w.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "enlarge the basis" in err

@@ -8,6 +8,7 @@ from cavityfeedback import (
     CatParity,
     DensityMatrix,
     FockDim,
+    NumericalInvariantError,
     StroboParams,
     TruncationError,
     analytic_stationary_state,
@@ -255,6 +256,22 @@ class TestStationaryState:
     def test_requires_dissipation(self, dim31):
         with pytest.raises(ValueError):
             stationary_state(StroboParams(1.0, np.pi / 2, 0.0), dim31)
+
+    def test_broken_fixed_point_is_numerical(self, dim31, monkeypatch):
+        # flipping the one-photon component of every eigenvector leaves a
+        # normalised fixed point with a negative population: a fault of the
+        # computation, not of the parameters
+        real_eig = np.linalg.eig
+
+        def eig(a):
+            vals, vecs = real_eig(a)
+            vecs = vecs.copy()
+            vecs[1, :] *= -1.0
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        with pytest.raises(NumericalInvariantError, match="eigenvalue"):
+            stationary_state(StroboParams(0.4, np.pi / 6, 0.2), dim31)
 
 
 class TestPeeAnalytic:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import gammaln
 
+import cavityfeedback.wigner as wigner
 from cavityfeedback import (
     CartesianGrid,
     CatParity,
@@ -159,6 +163,60 @@ class TestWignerFunction:
         tiny = CartesianGrid(np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
         with pytest.raises(GridTooCoarseError):
             wigner_function(rho, tiny)
+
+
+def transform_per_point(op, grid):
+    """The cartesian transform with the radial recurrence run at every grid point."""
+    xg, yg = np.meshgrid(grid.x, grid.y, indexing="ij")
+    r = np.hypot(xg, yg).ravel()
+    theta = np.arctan2(yg, xg).ravel()
+    coeffs = wigner._band_coefficients(op, r)
+    w = np.zeros_like(r)
+    for d, c in enumerate(coeffs):
+        if c is None:
+            continue
+        if d == 0:
+            w += c.real
+        else:
+            w += 2.0 * (np.cos(d * theta) * c.real - np.sin(d * theta) * c.imag)
+    return (2.0 / np.pi) * w.reshape(xg.shape)
+
+
+_RADIUS_GRIDS = {
+    "symmetric-121": default_cartesian_grid(4.5, 121),
+    "symmetric-120": default_cartesian_grid(4.5, 120),
+    "off-centre": CartesianGrid(np.linspace(-3.9, 4.4, 90), np.linspace(-2.6, 3.1, 77)),
+}
+
+
+@st.composite
+def hermitian_trace_one(draw):
+    size = draw(st.integers(2, 12))
+    parts = hnp.arrays(np.float64, (size, size), elements=st.floats(-1.0, 1.0))
+    a = draw(parts) + 1j * draw(parts)
+    h = (a + a.conj().T) / 2.0
+    return h + (1.0 - np.trace(h).real) / size * np.eye(size)
+
+
+class TestRadiiOnce:
+    """The recurrence on distinct radii gives bitwise the per-point values."""
+
+    @pytest.mark.parametrize("grid_name", sorted(_RADIUS_GRIDS))
+    @pytest.mark.parametrize("kind", ["cat-odd", "coherent"])
+    def test_cli_default_states(self, kind, grid_name, dim63):
+        if kind == "coherent":
+            rho = DensityMatrix.from_state(coherent_state(np.sqrt(5.0), dim63))
+        else:
+            rho = DensityMatrix.from_state(cat_state(np.sqrt(5.0), CatParity.ODD, dim63))
+        grid = _RADIUS_GRIDS[grid_name]
+        expected = transform_per_point(np.asarray(rho.elements), grid)
+        assert np.array_equal(wigner_function(rho, grid).values, expected)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(op=hermitian_trace_one())
+    def test_hermitian_operators(self, op):
+        for grid in _RADIUS_GRIDS.values():
+            assert np.array_equal(wigner._transform_cartesian(op, grid), transform_per_point(op, grid))
 
 
 class TestSqrtDiffusionGenerator:
