@@ -13,6 +13,7 @@ formatting.  Exit codes: 0 success, 2 config validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .adiabatic import adiabaticity_report, integrate_crossing, standard_pulses
 from .continuous import (
     ContinuousParams,
@@ -108,19 +109,22 @@ _DEFAULTS = {
 }
 
 
+def _number(key, val) -> float:
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ConfigError(key, f"expected a number, got {val!r}")
+    return float(val)
+
+
+def _integer(key, val) -> int:
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise ConfigError(key, f"expected an integer, got {val!r}")
+    return val
+
+
 def _require(cfg, key, kind, command):
     if key not in cfg:
         raise ConfigError(key, f"missing for {command}")
-    val = cfg[key]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(key, f"expected a number, got {val!r}")
-        return float(val)
-    if kind is int:
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ConfigError(key, f"expected an integer, got {val!r}")
-        return val
-    return val
+    return (_number if kind is float else _integer)(key, cfg[key])
 
 
 def _check(name, value, tolerance):
@@ -137,30 +141,34 @@ def _build_state(cfg_state, dim: FockDim) -> DensityMatrix:
     if kind == "vacuum":
         return DensityMatrix.from_state(fock_superposition([(0, 1.0)], dim))
     if kind in ("cat-odd", "cat-even"):
-        alpha2 = cfg_state.get("alpha2", 5.0)
+        alpha2 = _number("state.alpha2", cfg_state.get("alpha2", 5.0))
         if not alpha2 > 0:
             raise ConfigError("state.alpha2", "must be positive for a cat state")
         parity = CatParity.ODD if kind == "cat-odd" else CatParity.EVEN
         return DensityMatrix.from_state(cat_state(np.sqrt(alpha2), parity, dim))
     if kind == "coherent":
-        alpha2 = cfg_state.get("alpha2", 5.0)
+        alpha2 = _number("state.alpha2", cfg_state.get("alpha2", 5.0))
         if not alpha2 >= 0:
             raise ConfigError("state.alpha2", "must be >= 0 for a coherent state")
         return DensityMatrix.from_state(coherent_state(np.sqrt(alpha2), dim))
     if kind == "fock":
         terms = cfg_state.get("terms")
-        if not terms:
+        if not terms or not all(isinstance(t, list) and len(t) == 3 for t in terms):
             raise ConfigError("state.terms", "fock state needs [[n, re, im], ...]")
-        pairs = [(int(n), complex(re, im)) for n, re, im in terms]
+        pairs = []
+        for n, re, im in terms:
+            if not 0 <= _integer("state.terms", n) <= dim.n_max:
+                raise ConfigError("state.terms", f"Fock index {n} outside [0, {dim.n_max}]")
+            pairs.append((n, complex(_number("state.terms", re), _number("state.terms", im))))
         return DensityMatrix.from_state(fock_superposition(pairs, dim))
     raise ConfigError("state.kind", f"unknown state kind {kind!r}")
 
 
 def _eta_list(cfg, command):
     etas = cfg["eta"]
-    if isinstance(etas, (int, float)):
+    if not isinstance(etas, list):
         etas = [etas]
-    etas = [float(e) for e in etas]
+    etas = [_number("eta", e) for e in etas]
     for e in etas:
         if not 0.0 <= e <= 1.0:
             raise ConfigError("eta", f"value {e} outside [0, 1]")
@@ -259,18 +267,18 @@ def cmd_wigner(cfg):
         raise ConfigError("evolution", "must be a mapping with a 'kind'")
     kind = evo.get("kind", "none")
     if kind == "continuous":
-        eta = float(evo.get("eta", 1.0))
-        gt = float(evo.get("gamma_t", 0.0))
-        if gt < 0:
-            raise ConfigError("evolution.gamma_t", "must be >= 0")
+        eta = _number("evolution.eta", evo.get("eta", 1.0))
+        gt = _number("evolution.gamma_t", evo.get("gamma_t", 0.0))
+        if not 0.0 <= gt < np.inf:
+            raise ConfigError("evolution.gamma_t", f"must be a finite number >= 0, got {gt!r}")
         rho = evolve_continuous(rho, ContinuousParams(1.0, eta), gt)
     elif kind == "strobo":
         params = StroboParams(
-            float(evo.get("eta", 1.0)),
-            float(evo.get("mu", np.pi / 6)),
-            float(evo.get("gamma_t_step", 0.02)),
+            _number("evolution.eta", evo.get("eta", 1.0)),
+            _number("evolution.mu", evo.get("mu", np.pi / 6)),
+            _number("evolution.gamma_t_step", evo.get("gamma_t_step", 0.02)),
         )
-        steps = int(evo.get("steps", 0))
+        steps = _integer("evolution.steps", evo.get("steps", 0))
         if steps < 0:
             raise ConfigError("evolution.steps", "must be >= 0")
         for _ in range(steps):
@@ -587,27 +595,25 @@ def _resolve(command: str, args) -> dict:
 
 
 def _thread_cap():
-    """Cap BLAS threads at $THREADS; returns the limiter to unregister, or None.
+    """Context that caps this process's OpenBLAS pools at $THREADS while it is open.
 
-    A malformed or non-positive value is a config error.  Without threadpoolctl
-    the cap cannot be applied, which is said on stderr; results do not depend
-    on it either way.
+    A malformed or non-positive value is a config error.  Where no OpenBLAS
+    pool is found the cap cannot be applied, which is said on stderr; results
+    do not depend on it either way.  The continuous band core still runs on
+    one thread inside the cap.
     """
     raw = os.environ.get("THREADS")
     if not raw:
-        return None
+        return contextlib.nullcontext()
     try:
         count = int(raw)
     except ValueError:
         count = 0
     if count < 1:
         raise ConfigError("THREADS", f"expected a positive integer, got {raw!r}")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print(f"THREADS={count} not applied: threadpoolctl is not installed", file=sys.stderr)
-        return None
-    return threadpool_limits(limits=count)
+    if not _blas.pools():
+        print(f"THREADS={count} not applied: no OpenBLAS pool was found", file=sys.stderr)
+    return _blas.threads(count)
 
 
 def main(argv=None) -> int:
@@ -617,12 +623,8 @@ def main(argv=None) -> int:
         out_path = Path(args.out)
         if out_path.suffix != ".csv":
             raise ConfigError("out", "output path must end in .csv")
-        cap = _thread_cap()
-        try:
+        with _thread_cap():
             header, rows, checks, extras = _COMMANDS[args.command](cfg)
-        finally:
-            if cap is not None:
-                cap.unregister()
         sidecar = _write_outputs(out_path, args.command, cfg, header, rows, checks, extras)
         if not sidecar["all_invariants_passed"]:
             failed = [c["name"] for c in checks if not c["passed"]]

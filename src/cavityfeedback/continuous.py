@@ -17,7 +17,9 @@ skipped.  No time stepper and no integrator tolerance enters any result.
 Every state a map returns is checked for Hermiticity, trace and positivity at
 every time point, in one pass over the stack of states; `fidelity_curve`
 reads the overlap with the initial state off that stack without building a
-state object per time point.
+state object per time point.  The band loop runs on one BLAS thread: its
+matrices are at most (n_max + 1) x (n_max + 1) and its products depend on one
+another, so on them a second OpenBLAS thread costs more than it computes.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln
 
+from ._blas import threads
 from .errors import NumericalInvariantError, TruncationError
 from .fock import CatParity, DensityMargins, DensityMatrix, check_density
 
@@ -103,21 +106,22 @@ def _propagate(mat: np.ndarray, eta: float, gamma_dt: float, steps: int) -> np.n
     stack[0] = mat
     flat = stack.reshape(steps + 1, n * n)
     traj = np.empty((steps + 1, n), dtype=complex)  # contiguous work rows
-    for p in range(n):
-        upper = flat[:, p :: n + 1][:, : n - p]  # writable views of the two bands
-        lower = flat[:, p * n :: n + 1][:, : n - p]
-        if steps == 0 or not (upper[0].any() or lower[0].any()):
-            continue
-        mirrored = p == 0 or np.array_equal(lower[0], upper[0].conj())
-        prop = _band_propagator(eta, p, n - p, gamma_dt)
-        band = traj[:, : n - p]
-        for out in (upper,) if mirrored else (upper, lower):
-            band[0] = out[0]
-            for s in range(steps):
-                np.dot(prop, band[s], out=band[s + 1])
-            out[1:] = band[1:]
-        if p and mirrored:
-            lower[1:] = upper[1:].conj() + 0.0
+    with threads(1):
+        for p in range(n):
+            upper = flat[:, p :: n + 1][:, : n - p]  # writable views of the two bands
+            lower = flat[:, p * n :: n + 1][:, : n - p]
+            if steps == 0 or not (upper[0].any() or lower[0].any()):
+                continue
+            mirrored = p == 0 or np.array_equal(lower[0], upper[0].conj())
+            prop = _band_propagator(eta, p, n - p, gamma_dt)
+            band = traj[:, : n - p]
+            for out in (upper,) if mirrored else (upper, lower):
+                band[0] = out[0]
+                for s in range(steps):
+                    np.dot(prop, band[s], out=band[s + 1])
+                out[1:] = band[1:]
+            if p and mirrored:
+                lower[1:] = upper[1:].conj() + 0.0
     return stack
 
 

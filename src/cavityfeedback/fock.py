@@ -105,8 +105,18 @@ def _band_period(stack: np.ndarray) -> int:
     return int(np.gcd.reduce(np.abs(rows - cols), initial=0)) or stack.shape[-1]
 
 
-def density_margins(stack) -> DensityMargins:
-    """Invariant margins of a (T, n, n) stack of candidate density matrices.
+def _linear_margins(stack: np.ndarray) -> tuple:
+    """Hermiticity and trace margins; a NaN or inf element makes the first NaN or inf."""
+    # np.maximum, unlike max, passes a NaN on to the margin; inf - inf is such
+    # a NaN and fails the check, so numpy need not warn about it
+    with np.errstate(invalid="ignore"):
+        herm = reduce(np.maximum, (abs(mat - mat.conj().T).max() for mat in stack))
+        drift = abs(stack.trace(axis1=1, axis2=2) - 1.0).max()
+    return float(herm), float(drift)
+
+
+def _min_eigenvalue(stack: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian parts of a (T, n, n) stack.
 
     For a stack of several matrices the spectrum is taken block by block over
     the residue classes of the band period (every cat state has period 2),
@@ -115,17 +125,19 @@ def density_margins(stack) -> DensityMargins:
     the extra LAPACK calls cost more than they save (with them, a strobo-pe
     run at 32 levels took 10 % longer on a 2-vCPU Xeon).
     """
-    stack = np.asarray(stack)
-    # np.maximum and np.minimum, unlike max and min, pass a NaN on to the margins
-    herm = reduce(np.maximum, (abs(mat - mat.conj().T).max() for mat in stack))
-    drift = abs(stack.trace(axis1=1, axis2=2) - 1.0).max()
     g = _band_period(stack) if len(stack) > 1 else 1
     blocks = (stack[:, r::g, r::g] for r in range(g))
     lo = reduce(
         np.minimum,
         (np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2.0).min() for b in blocks),
     )
-    return DensityMargins(float(herm), float(drift), float(lo))
+    return float(lo)
+
+
+def density_margins(stack) -> DensityMargins:
+    """Invariant margins of a (T, n, n) stack of candidate density matrices."""
+    stack = np.asarray(stack)
+    return DensityMargins(*_linear_margins(stack), _min_eigenvalue(stack))
 
 
 def check_density(stack, error=ValueError) -> DensityMargins:
@@ -133,19 +145,21 @@ def check_density(stack, error=ValueError) -> DensityMargins:
 
     Tolerances: Hermiticity 1e-12, trace 1e-10, smallest eigenvalue >= -1e-10.
     Input validation keeps ValueError; a map checking its own output passes
-    NumericalInvariantError.
+    NumericalInvariantError.  Hermiticity and trace are checked before the
+    spectrum is computed, so a NaN or inf element raises `error` as a
+    Hermiticity failure and never reaches the eigensolver.
     """
-    m = density_margins(stack)
+    stack = np.asarray(stack)
+    herm, drift = _linear_margins(stack)
     # negated comparisons, so that a NaN margin fails instead of passing
-    if not m.hermiticity <= _HERM_TOL:
-        raise error(f"matrix is not Hermitian: max deviation {m.hermiticity:.3e}")
-    if not m.trace_drift <= _TRACE_TOL:
-        raise error(f"trace deviates from 1 by {m.trace_drift:.3e}, beyond {_TRACE_TOL}")
-    if not m.min_eigenvalue >= _EIG_FLOOR:
-        raise error(
-            f"smallest eigenvalue {m.min_eigenvalue:.3e} below positivity floor {_EIG_FLOOR}"
-        )
-    return m
+    if not herm <= _HERM_TOL:
+        raise error(f"matrix is not Hermitian: max deviation {herm:.3e}")
+    if not drift <= _TRACE_TOL:
+        raise error(f"trace deviates from 1 by {drift:.3e}, beyond {_TRACE_TOL}")
+    lo = _min_eigenvalue(stack)
+    if not lo >= _EIG_FLOOR:
+        raise error(f"smallest eigenvalue {lo:.3e} below positivity floor {_EIG_FLOOR}")
+    return DensityMargins(herm, drift, lo)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cavityfeedback import DensityMatrix, FockDim
+from cavityfeedback._blas import Pool
 
 
 def random_density(n_max: int, support: int, seed: int) -> DensityMatrix:
@@ -27,6 +28,17 @@ def random_parity_density(n_max: int, support: int, seed: int) -> DensityMatrix:
     mat = np.where(same, rho.elements, 0.0)
     mat /= np.trace(mat).real
     return DensityMatrix(mat, FockDim(n_max))
+
+
+def fake_pool(count: int, events: list) -> Pool:
+    """A stand-in OpenBLAS pool at `count` threads that logs every count it is set to."""
+    counts = [count]
+
+    def set_count(n):
+        events.append(n)
+        counts[0] = n
+
+    return Pool(lambda: counts[0], set_count)
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cavityfeedback
+import cavityfeedback._blas as _blas
 import cavityfeedback.cli as cli
 import cavityfeedback.continuous as continuous
 import cavityfeedback.strobo as strobo
 from cavityfeedback import NumericalInvariantError
 from cavityfeedback.cli import main
+from conftest import fake_pool
 
 
 def run_cli(args):
@@ -271,6 +272,74 @@ class TestFailureClasses:
         assert run_cli(args + ["--out", tmp_path / "out.csv"]) == 3
         assert "numerical failure: trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fidelity-cat", "--steps", 4],
+            ["fidelity-fock", "--steps", 4],
+            ["wigner", "--gamma-t", 0.2, "--grid-points", 11],
+        ],
+    )
+    def test_non_finite_map_output_exits_3(self, args, tmp_path, monkeypatch, capsys):
+        # a NaN propagator is a fault of the map: it must fail the invariant
+        # check before any eigensolver sees it, not as a LinAlgError (exit 2)
+        monkeypatch.setattr(continuous, "expm", lambda gen: np.full(gen.shape, np.nan))
+        if args[0] == "wigner":
+            cfg = {"evolution": {"kind": "continuous", "eta": 0.5}}
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            args = args + ["--config", tmp_path / "cfg.json"]
+        assert run_cli(args + ["--out", tmp_path / "out.csv"]) == 3
+        assert "numerical failure: matrix is not Hermitian" in capsys.readouterr().err
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            ("fidelity-cat", {"eta": [None]}, "eta: expected a number, got None"),
+            (
+                "wigner",
+                {"state": {"kind": "cat-odd", "alpha2": "x"}},
+                "state.alpha2: expected a number, got 'x'",
+            ),
+            (
+                "wigner",
+                {"evolution": {"kind": "continuous", "eta": None}},
+                "evolution.eta: expected a number, got None",
+            ),
+            (
+                "wigner",
+                {"evolution": {"kind": "continuous", "gamma_t": float("nan")}},
+                "evolution.gamma_t: must be a finite number >= 0, got nan",
+            ),
+            (
+                "wigner",
+                {"evolution": {"kind": "strobo", "mu": None}},
+                "evolution.mu: expected a number, got None",
+            ),
+            (
+                "wigner",
+                {"evolution": {"kind": "strobo", "steps": 2.5}},
+                "evolution.steps: expected an integer, got 2.5",
+            ),
+            (
+                "wigner",
+                {"state": {"kind": "fock", "terms": [[1, None, 0.0]]}},
+                "state.terms: expected a number, got None",
+            ),
+            (
+                "wigner",
+                {"state": {"kind": "fock", "terms": [[99, 1.0, 0.0]]}},
+                "state.terms: Fock index 99 outside [0, 63]",
+            ),
+        ],
+    )
+    def test_wrong_typed_value_exits_2(self, command, cfg, message, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        args = [command, "--config", tmp_path / "cfg.json", "--out", tmp_path / "out.csv"]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestThreads:
     ARGS = ["fidelity-fock", "--steps", 3, "--eta", "0.5"]
@@ -282,35 +351,29 @@ class TestThreads:
         assert "config error: THREADS" in capsys.readouterr().err
 
     def test_cap_without_threadpoolctl_is_reported(self, tmp_path, monkeypatch, capsys):
+        # the cap needs no threadpoolctl; where no OpenBLAS pool is found it
+        # cannot be applied, which is said once, and the outputs do not change
         monkeypatch.delenv("THREADS", raising=False)
         assert run_cli(self.ARGS + ["--out", tmp_path / "a.csv"]) == 0
         capsys.readouterr()
         monkeypatch.setenv("THREADS", "2")
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        monkeypatch.setattr(_blas, "pools", lambda: ())
         assert run_cli(self.ARGS + ["--out", tmp_path / "b.csv"]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert err == ["THREADS=2 not applied: threadpoolctl is not installed"]
+        assert err == ["THREADS=2 not applied: no OpenBLAS pool was found"]
         for suffix in (".csv", ".json"):
             a = (tmp_path / "a").with_suffix(suffix).read_bytes()
             assert a == (tmp_path / "b").with_suffix(suffix).read_bytes()
 
     def test_cap_applied_and_released(self, tmp_path, monkeypatch, capsys):
         events = []
-
-        class Limiter:
-            def unregister(self):
-                events.append("released")
-
-        def threadpool_limits(limits):
-            events.append(limits)
-            return Limiter()
-
-        fake = types.ModuleType("threadpoolctl")
-        fake.threadpool_limits = threadpool_limits
-        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-        monkeypatch.setenv("THREADS", "3")
+        found = (fake_pool(4, events),)
+        monkeypatch.setattr(_blas, "pools", lambda: found)
+        monkeypatch.setenv("THREADS", "2")
         assert run_cli(self.ARGS + ["--out", tmp_path / "f.csv"]) == 0
-        assert events == [3, "released"]
+        # THREADS sets the pool to 2, the band core runs on 1 inside that and
+        # puts the 2 back, and the cap then puts back the 4 it found
+        assert events == [2, 1, 2, 4]
         assert capsys.readouterr().err == ""
 
 

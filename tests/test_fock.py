@@ -17,7 +17,7 @@ from cavityfeedback import (
     mean_amplitude,
     parity_expectation,
 )
-from cavityfeedback.fock import _band_period, density_margins
+from cavityfeedback.fock import _band_period, check_density, density_margins
 from conftest import random_density
 
 _BAD_MATRICES = {
@@ -219,6 +219,23 @@ class TestInvariantEnforcement:
             DensityMatrix.from_map(stack, FockDim(1))
         with pytest.raises(ValueError):
             DensityMatrix(_BAD_MATRICES[broken], FockDim(1))
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [((3, 3), np.nan), ((2, 5), np.nan), ((4, 4), np.inf), ((1, 6), np.inf), ((0, 7), complex(0.0, np.inf))],
+    )
+    @pytest.mark.parametrize("error", [NumericalInvariantError, ValueError])
+    def test_non_finite_elements_raise_the_given_error(self, where, value, error):
+        # the spectrum of a non-finite matrix is never computed: the Hermiticity
+        # margin is already NaN or inf, so no LinAlgError can stand in for `error`
+        mat = random_density(15, 12, 4).elements.copy()
+        i, j = where
+        mat[i, j] = value
+        mat[j, i] = np.conj(value)
+        stack = np.array([random_density(15, 12, 5).elements, mat])
+        with pytest.raises(error, match="not Hermitian") as info:
+            check_density(stack, error)
+        assert type(info.value) is error
 
     def test_map_output_states(self):
         stack = np.array([random_density(7, 6, seed).elements for seed in range(3)])
