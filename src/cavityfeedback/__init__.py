@@ -75,11 +75,10 @@ from .strobo import (
     SequenceRecord,
     SequenceTrace,
     StroboParams,
+    StroboRun,
     analytic_stationary_state,
     build_band_matrix,
-    conditional_split,
-    dissipation_map,
-    feedback_atom_map,
+    evolve_strobo,
     feedback_superop,
     p_ee_analytic,
     resonance_angle,

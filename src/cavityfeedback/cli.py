@@ -49,7 +49,7 @@ from .fock import (
     parity_expectation,
 )
 from .qubits import QubitSpec, min_fidelity, optimal_n, threshold_eta
-from .strobo import StroboParams, analytic_stationary_state, p_ee_analytic, run_sequence, strobo_step
+from .strobo import StroboParams, analytic_stationary_state, evolve_strobo, p_ee_analytic, run_sequence
 from .wigner import CartesianGrid, fringe_visibility, wigner_function
 
 _FIG7_SETS = (
@@ -281,8 +281,7 @@ def cmd_wigner(cfg):
         steps = _integer("evolution.steps", evo.get("steps", 0))
         if steps < 0:
             raise ConfigError("evolution.steps", "must be >= 0")
-        for _ in range(steps):
-            rho = strobo_step(rho, params)
+        rho = evolve_strobo(rho, params, steps).state
     elif kind != "none":
         raise ConfigError("evolution.kind", f"unknown evolution kind {kind!r}")
 

@@ -10,10 +10,11 @@ to the element one step up the same off-diagonal:
                        - (gamma / 2) (n + m) rho_{n,m}
 
 so each off-diagonal band evolves under its own upper-bidiagonal generator.
-One band core, `_propagate`, serves every map here: each band that is nonzero
-in the input is propagated by an exact matrix exponential (scipy's
-scaling-and-squaring `expm`, Al-Mohy & Higham 2009), and zero bands are
-skipped.  No time stepper and no integrator tolerance enters any result.
+One band core, `_propagate`, serves every map here and the stroboscopic maps
+of `strobo`: it applies a per-band step matrix to each band that is nonzero
+in the input and skips zero bands.  Here the step matrix is an exact matrix
+exponential (scipy's scaling-and-squaring `expm`, Al-Mohy & Higham 2009), so
+no time stepper and no integrator tolerance enters any result.
 Every state a map returns is checked for Hermiticity, trace and positivity at
 every time point, in one pass over the stack of states; `fidelity_curve`
 reads the overlap with the initial state off that stack without building a
@@ -24,6 +25,7 @@ another, so on them a second OpenBLAS thread costs more than it computes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -84,7 +86,7 @@ def _band_generator(eta: float, p: int, length: int):
     return diag, upper
 
 
-def _band_propagator(eta: float, p: int, length: int, gamma_t: float) -> np.ndarray:
+def _band_propagator(eta: float, gamma_t: float, p: int, length: int) -> np.ndarray:
     diag, upper = _band_generator(eta, p, length)
     gen = np.diag(diag)
     if length > 1:
@@ -92,14 +94,17 @@ def _band_propagator(eta: float, p: int, length: int, gamma_t: float) -> np.ndar
     return expm(gamma_t * gen).astype(complex)
 
 
-def _propagate(mat: np.ndarray, eta: float, gamma_dt: float, steps: int) -> np.ndarray:
+def _propagate(mat: np.ndarray, step_matrix, steps: int) -> np.ndarray:
     """The band core: (steps + 1, n, n) stack of mat after 0, 1, ..., steps steps.
 
-    Bands that are zero in `mat` stay zero and get no propagator.  A lower
-    band that is exactly the conjugate of its upper band (any Hermitian
-    input) is filled in by conjugation: every propagator is real, so that is
-    what propagating it gives bit for bit once the -0.0 imaginary parts
-    conjugation leaves are turned into the +0.0 a product gives.
+    `step_matrix(p, length)` is the complex (length, length) matrix of one
+    step on the band mat[i, i + p]; it must have real entries, and the same
+    matrix acts on the lower band mat[i + p, i].  Bands that are zero in `mat`
+    stay zero and get no step matrix.  A lower band that is exactly the
+    conjugate of its upper band (any Hermitian input) is filled in by
+    conjugation: every step matrix is real, so that is what propagating it
+    gives bit for bit once the -0.0 imaginary parts conjugation leaves are
+    turned into the +0.0 a product gives.
     """
     n = mat.shape[0]
     stack = np.zeros((steps + 1, n, n), dtype=complex)
@@ -113,7 +118,7 @@ def _propagate(mat: np.ndarray, eta: float, gamma_dt: float, steps: int) -> np.n
             if steps == 0 or not (upper[0].any() or lower[0].any()):
                 continue
             mirrored = p == 0 or np.array_equal(lower[0], upper[0].conj())
-            prop = _band_propagator(eta, p, n - p, gamma_dt)
+            prop = step_matrix(p, n - p)
             band = traj[:, : n - p]
             for out in (upper,) if mirrored else (upper, lower):
                 band[0] = out[0]
@@ -155,7 +160,7 @@ def evolve_operator(op, eta: float, gamma_t: float) -> np.ndarray:
     The map is linear and acts band by band, so it extends to operators that
     are not states, such as the coherences |n><m| of a two-mode check.
     """
-    return _propagate(np.asarray(op, dtype=complex), eta, gamma_t, 1)[1]
+    return _propagate(np.asarray(op, dtype=complex), partial(_band_propagator, eta, gamma_t), 1)[1]
 
 
 def evolve_continuous(rho0: DensityMatrix, params: ContinuousParams, t: float) -> DensityMatrix:
@@ -183,7 +188,8 @@ def evolve_continuous_grid(rho0: DensityMatrix, params: ContinuousParams, times)
     _check_top_population(rho0)
     if steps == 0:
         return [rho0]
-    stack = _propagate(rho0.elements, params.eta, params.gamma * dt, steps)
+    step = partial(_band_propagator, params.eta, params.gamma * dt)
+    stack = _propagate(rho0.elements, step, steps)
     return [rho0] + DensityMatrix.from_map(stack[1:], rho0.dim)
 
 
@@ -206,7 +212,8 @@ def fidelity_curve(rho0: DensityMatrix, params: ContinuousParams, times) -> Fide
     """
     dt, steps = _uniform_steps(times)
     _check_top_population(rho0)
-    stack = _propagate(rho0.elements, params.eta, params.gamma * dt, steps)
+    step = partial(_band_propagator, params.eta, params.gamma * dt)
+    stack = _propagate(rho0.elements, step, steps)
     margins = check_density(stack, NumericalInvariantError)
     overlap = np.array([np.vdot(rho0.elements, mat).real for mat in stack])
     return FidelityCurve(overlap, margins)

@@ -10,23 +10,31 @@ One period of the protocol applies, in order,
 3. vacuum-bath dissipation for the inter-atom interval, gamma_T = gamma T.
 
 Every map couples a density-matrix element only to elements with the same
-off-diagonal index p, so each band evolves under its own step matrix; the
-matrices for all p are assembled explicitly for spectral analysis and fast
-repeated stepping.
+off-diagonal index p, so each band evolves under its own real step matrix.
+Both feedback schemes run on one band core: `evolve_strobo` hands these
+matrices, built once per parameter set, to `continuous._propagate`, which
+skips zero bands (every odd band after the first period), and checks every
+state it produces, a fixed chunk of periods at a time.  `strobo_step`,
+`feedback_superop` and `run_sequence` run on it, and the same matrices give
+the spectra and the stationary state.  The dense elementwise Kraus forms of
+the maps are kept in the tests as oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
 
+from .continuous import _propagate
 from .errors import NonUniqueFixedPointError, NumericalInvariantError, TruncationError
 from .fock import DensityMatrix, FockDim
 
 _TOP_POPULATION_TOL = 1e-10
 _SPECTRAL_TOL = 1e-10
+_TRACE_TOL = 1e-10
+_CHUNK = 16  # periods propagated and checked per pass; only their populations are kept
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,7 @@ class BandMatrix:
         mat = np.asarray(self.entries, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("band matrix must be square")
-        if mat.size:
+        if mat.any():  # a zero matrix, such as every odd band's, has radius 0
             radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
             if radius > 1.0 + _SPECTRAL_TOL:
                 raise ValueError(f"spectral radius {radius!r} exceeds 1")
@@ -70,7 +78,6 @@ class SequenceRecord(NamedTuple):
     step: int
     p_e: float
     p_g: float
-    rho_digest: str
 
 
 @dataclass(frozen=True)
@@ -83,76 +90,6 @@ class SequenceTrace:
         for rec in self.records:
             if abs(rec.p_e + rec.p_g - 1.0) > 1e-10:
                 raise ValueError(f"P_e + P_g = {rec.p_e + rec.p_g!r} at step {rec.step}")
-
-
-def _parity_masks(n_dim: int):
-    n = np.arange(n_dim)
-    odd = (n % 2 == 1).astype(float)
-    even = 1.0 - odd
-    return np.outer(odd, odd), np.outer(even, even)
-
-
-def conditional_split(rho: DensityMatrix):
-    """Project onto the odd/even subspaces and return detection probabilities.
-
-    Returns (rho_e, rho_g, P_e, P_g) with the projections unnormalised, so
-    Tr rho_e = P_e (probability of finding the probe atom in e).
-    """
-    arr = np.asarray(rho.elements)
-    mask_odd, mask_even = _parity_masks(arr.shape[0])
-    rho_e = arr * mask_odd
-    rho_g = arr * mask_even
-    p_e = float(np.real(np.trace(rho_e)))
-    p_g = float(np.real(np.trace(rho_g)))
-    return rho_e, rho_g, p_e, p_g
-
-
-def _feedback_atom_elements(arr: np.ndarray, mu: float) -> np.ndarray:
-    n_dim = arr.shape[0]
-    top = float(np.real(arr[-1, -1]))
-    if top > _TOP_POPULATION_TOL:
-        raise TruncationError(
-            f"population {top:.3e} on the top Fock level would be pushed out of "
-            "the basis by the feedback atom; enlarge the basis"
-        )
-    cos_up = np.cos(mu * np.sqrt(np.arange(1, n_dim + 1)))
-    sin_at = np.sin(mu * np.sqrt(np.arange(n_dim)))
-    out = np.outer(cos_up, cos_up) * arr
-    out[1:, 1:] += np.outer(sin_at[1:], sin_at[1:]) * arr[:-1, :-1]
-    return out
-
-
-def feedback_atom_map(rho: DensityMatrix, mu: float) -> DensityMatrix:
-    """Resonant feedback atom acting unconditionally on the field.
-
-    Elementwise: cos(mu sqrt(n+1)) cos(mu sqrt(m+1)) rho_{n,m} plus the
-    one-photon-up shift sin(mu sqrt(n)) sin(mu sqrt(m)) rho_{n-1,m-1}.
-    """
-    out = _feedback_atom_elements(np.asarray(rho.elements), mu)
-    return DensityMatrix.from_map(out[None], rho.dim)[0]
-
-
-def _feedback_superop_elements(arr: np.ndarray, params: StroboParams) -> np.ndarray:
-    mask_odd, mask_even = _parity_masks(arr.shape[0])
-    rho_e = arr * mask_odd
-    rho_g = arr * mask_even
-    eta = params.eta
-    out = eta * rho_e + (1.0 - eta) * (rho_e + rho_g)
-    if eta:
-        out = out + eta * _feedback_atom_elements(rho_g, params.mu)
-    return out
-
-
-def feedback_superop(rho: DensityMatrix, params: StroboParams) -> DensityMatrix:
-    """Probe measurement plus conditional feedback, averaged over outcomes.
-
-    With probability eta the probe atom is detected: the odd outcome leaves
-    the field alone, the even outcome triggers the feedback atom.  With
-    probability 1 - eta nothing is detected and no feedback acts; the parity
-    measurement still removes coherences between the two parity sectors.
-    """
-    out = _feedback_superop_elements(np.asarray(rho.elements), params)
-    return DensityMatrix.from_map(out[None], rho.dim)[0]
 
 
 def _kraus_log_table(n_dim: int, gamma_T: float) -> np.ndarray:
@@ -169,37 +106,45 @@ def _kraus_log_table(n_dim: int, gamma_T: float) -> np.ndarray:
     return np.exp(log_c)
 
 
-def _dissipation_elements(arr: np.ndarray, gamma_T: float) -> np.ndarray:
-    if gamma_T == 0.0:
-        return arr.copy()
-    n_dim = arr.shape[0]
-    c = _kraus_log_table(n_dim, gamma_T)
-    out = np.zeros_like(arr)
-    for k in range(n_dim):
-        m = n_dim - k
-        ck = c[:m, k]
-        out[:m, :m] += np.outer(ck, ck) * arr[k:, k:]
-    return out
+def _kraus_table(n_dim: int, gamma_T: float) -> np.ndarray:
+    if gamma_T > 0:
+        return _kraus_log_table(n_dim, gamma_T)
+    c = np.zeros((n_dim, n_dim))
+    c[:, 0] = 1.0  # no dissipation: only the zero-loss Kraus term survives
+    return c
 
 
-def dissipation_map(rho: DensityMatrix, gamma_T: float) -> DensityMatrix:
-    """Exact vacuum-bath relaxation over a dimensionless interval gamma_T.
+def _band_entries(p: int, params: StroboParams, c: np.ndarray) -> np.ndarray:
+    """Entries of the one-step matrix of band p, from the Kraus table c.
 
-    The Kraus sum runs over every photon-loss number representable in the
-    truncated basis, so trace is conserved exactly.
+    Row n, column j >= n: the element (j, j + p) after the parity measurement
+    and the feedback atom, then j - n photon losses; for even j the feedback
+    atom also lifts it to (j + 1, j + p + 1), which j - n + 1 losses bring
+    back to (n, n + p) when that image fits in the basis.  Row n, column
+    n - 1 for odd n: the even element one index below, lifted by the feedback
+    atom and left alone by dissipation.
     """
-    if gamma_T < 0:
-        raise ValueError("gamma_T must be >= 0")
-    out = _dissipation_elements(np.asarray(rho.elements), gamma_T)
-    return DensityMatrix.from_map(out[None], rho.dim)[0]
-
-
-def strobo_step(rho: DensityMatrix, params: StroboParams) -> DensityMatrix:
-    """One full period: measurement-conditioned feedback, then dissipation."""
-    arr = _feedback_superop_elements(np.asarray(rho.elements), params)
-    arr = _dissipation_elements(arr, params.gamma_T)
-    arr = (arr + arr.conj().T) / 2.0
-    return DensityMatrix.from_map(arr[None], rho.dim)[0]
+    n_dim = c.shape[0]
+    length = n_dim - p
+    if p % 2 == 1:
+        return np.zeros((length, length))
+    eta, mu = params.eta, params.mu
+    j = np.arange(length)
+    n = j[:, None]
+    k = np.maximum(j - n, 0)
+    even = (j % 2 == 0).astype(float)
+    root_j, root_jp = np.sqrt(j + 1.0), np.sqrt(j + p + 1.0)
+    stay = eta * (1.0 - even) + (1.0 - eta) + eta * even * np.cos(mu * root_j) * np.cos(mu * root_jp)
+    mat = c[n, k] * c[n + p, k] * stay
+    k1 = np.minimum(k + 1, n_dim - 1)
+    lift = eta * even * c[n, k1] * c[n + p, k1] * np.sin(mu * root_j) * np.sin(mu * root_jp)
+    mat = np.where(j < length - 1, mat + lift, mat)  # the top column's image would not fit
+    mat = np.where(j >= n, mat, 0.0)
+    odd = j[1::2]
+    mat[odd, odd - 1] += (
+        eta * c[odd, 0] * c[odd + p, 0] * np.sin(mu * np.sqrt(odd)) * np.sin(mu * np.sqrt(odd + p))
+    )
+    return mat
 
 
 def build_band_matrix(p: int, params: StroboParams, dim: FockDim) -> BandMatrix:
@@ -208,49 +153,84 @@ def build_band_matrix(p: int, params: StroboParams, dim: FockDim) -> BandMatrix:
     Odd p gives the zero matrix: the parity measurement removes every
     coherence between the even and odd subspaces in a single step.
     """
-    n_dim = dim.size
     if not 0 <= p <= dim.n_max:
         raise ValueError(f"band index {p} out of range 0..{dim.n_max}")
-    length = n_dim - p
-    mat = np.zeros((length, length))
-    if p % 2 == 1:
-        return BandMatrix(p, mat)
-    eta, mu = params.eta, params.mu
-    if params.gamma_T > 0:
-        c = _kraus_log_table(n_dim, params.gamma_T)
-    else:
-        c = np.zeros((n_dim, n_dim))
-        c[:, 0] = 1.0  # no dissipation: only the zero-loss Kraus term survives
-    for n in range(length):
-        ks = np.arange(length - n)
-        n1 = n + ks
-        m1 = n + p + ks
-        even1 = (n1 % 2 == 0).astype(float)
-        row = c[n, ks] * c[n + p, ks] * (
-            eta * (1.0 - even1)
-            + (1.0 - eta)
-            + eta * even1 * np.cos(mu * np.sqrt(n1 + 1.0)) * np.cos(mu * np.sqrt(m1 + 1.0))
-        )
-        # one-photon-up feedback followed by k+1 losses, for elements whose
-        # shifted image still fits in the basis
-        fit = m1 + 1 <= n_dim - 1
-        kf = ks[fit]
-        row[fit] += (
-            eta
-            * even1[fit]
-            * c[n, kf + 1]
-            * c[n + p, kf + 1]
-            * np.sin(mu * np.sqrt(n1[fit] + 1.0))
-            * np.sin(mu * np.sqrt(m1[fit] + 1.0))
-        )
-        mat[n, n:] = row
-        if n >= 1 and n % 2 == 1:
-            # repopulation from one index below: the even element (n-1, n+p-1)
-            # shifted up by the feedback atom and left alone by dissipation
-            mat[n, n - 1] += (
-                eta * c[n, 0] * c[n + p, 0] * np.sin(mu * np.sqrt(n)) * np.sin(mu * np.sqrt(n + p))
-            )
-    return BandMatrix(p, mat)
+    return BandMatrix(p, _band_entries(p, params, _kraus_table(dim.size, params.gamma_T)))
+
+
+def _step_matrices(params: StroboParams, dim: FockDim) -> list:
+    """Complex one-step matrices of every band, for the band core.
+
+    A step map that does not conserve the trace is a fault of the computation
+    and raises NumericalInvariantError before any state is stepped: every
+    column of the diagonal band must sum to 1, except the top level's, whose
+    lifted image the feedback atom would push out of the basis.  Each matrix
+    then passes the `BandMatrix` spectral-radius check.
+    """
+    c = _kraus_table(dim.size, params.gamma_T)
+    entries = [_band_entries(p, params, c) for p in range(dim.size)]
+    drift = float(np.max(np.abs(entries[0][:, :-1].sum(axis=0) - 1.0)))
+    if not drift <= _TRACE_TOL:
+        raise NumericalInvariantError(f"trace deviates from 1 by {drift:.3e} in the step map")
+    return [BandMatrix(p, mat).entries.astype(complex) for p, mat in enumerate(entries)]
+
+
+class StroboRun(NamedTuple):
+    """A state after a number of periods, and the populations on the way."""
+
+    state: DensityMatrix  # after the last period
+    populations: np.ndarray  # (periods + 1, n): row k before period k + 1
+
+
+def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> StroboRun:
+    """Apply `steps` full periods (feedback, then dissipation) to rho0.
+
+    The periods run through the band core of `continuous` on the step
+    matrices of `build_band_matrix`, built once for the run, a fixed chunk of
+    periods at a time.  Every state of a chunk is checked for Hermiticity,
+    trace and positivity (NumericalInvariantError), and when the feedback
+    atom acts (eta > 0) on an even top level, population above 1e-10 there
+    raises TruncationError.  Only the populations of each chunk are kept.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    dim = rho0.dim
+    mats = _step_matrices(params, dim)
+    watch_top = params.eta > 0 and dim.n_max % 2 == 0
+    populations = np.empty((steps + 1, dim.size))
+    populations[0] = rho0.populations()
+    state, mat = rho0, rho0.elements
+    for start in range(0, steps, _CHUNK):
+        stack = _propagate(mat, lambda p, length: mats[p], min(_CHUNK, steps - start))
+        if watch_top:  # the states this chunk stepped
+            top = float(np.max(stack[:-1, -1, -1].real))
+            if top > _TOP_POPULATION_TOL:
+                raise TruncationError(
+                    f"population {top:.3e} on the top Fock level would be pushed out of "
+                    "the basis by the feedback atom; enlarge the basis"
+                )
+        state = DensityMatrix.from_map(stack[1:], dim)[-1]
+        # a copy: a view of the diagonal would keep the whole chunk alive
+        populations[start + 1 : start + len(stack)] = stack[1:].diagonal(0, 1, 2).real
+        mat = stack[-1]
+    return StroboRun(state, populations)
+
+
+def feedback_superop(rho: DensityMatrix, params: StroboParams) -> DensityMatrix:
+    """Probe measurement plus conditional feedback, averaged over outcomes.
+
+    With probability eta the probe atom is detected: the odd outcome leaves
+    the field alone, the even outcome triggers the feedback atom.  With
+    probability 1 - eta nothing is detected and no feedback acts; the parity
+    measurement still removes coherences between the two parity sectors.
+    This is one period without dissipation.
+    """
+    return strobo_step(rho, replace(params, gamma_T=0.0))
+
+
+def strobo_step(rho: DensityMatrix, params: StroboParams) -> DensityMatrix:
+    """One full period: measurement-conditioned feedback, then dissipation."""
+    return evolve_strobo(rho, params, 1).state
 
 
 def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
@@ -314,13 +294,15 @@ def run_sequence(rho0: DensityMatrix, params: StroboParams, steps: int) -> Seque
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    records = []
-    rho = rho0
-    for step in range(steps):
-        _, _, p_e, p_g = conditional_split(rho)
-        records.append(SequenceRecord(step, p_e, p_g, rho.digest()))
-        rho = strobo_step(rho, params)
-    return SequenceTrace(tuple(records))
+    populations = evolve_strobo(rho0, params, steps).populations[:steps]
+    odd = np.arange(rho0.dim.size) % 2
+    # summed as complex numbers, as the trace of the parity-projected state
+    # sums them, so that each probability is that trace to the last bit
+    p_e = np.sum(populations * odd, axis=1, dtype=complex).real
+    p_g = np.sum(populations * (1 - odd), axis=1, dtype=complex).real
+    return SequenceTrace(
+        tuple(SequenceRecord(step, float(e), float(g)) for step, (e, g) in enumerate(zip(p_e, p_g)))
+    )
 
 
 def resonance_angle(n_bar: float, m: int) -> float:

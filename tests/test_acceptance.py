@@ -9,6 +9,7 @@ import pytest
 import cavityfeedback as cf
 from cavityfeedback.cli import main as cli_main
 from conftest import random_density, random_parity_density
+from test_strobo import dense_step
 
 
 def report(number, description, worst, tolerance, passed=None):
@@ -97,9 +98,7 @@ def test_06_stroboscopic_fixed_point(dim31):
     worst = 0.0
     eig_ok = True
     for params, steps in cases:
-        rho = odd_cat(3.3, dim31)
-        for _ in range(steps):
-            rho = cf.strobo_step(rho, params)
+        rho = cf.evolve_strobo(odd_cat(3.3, dim31), params, steps).state
         target = cf.analytic_stationary_state(params, dim31)
         worst = max(worst, cf.trace_distance(rho, target))
         eigvec_state = cf.stationary_state(params, dim31)
@@ -124,9 +123,9 @@ def test_08_band_matrix_equivalence(dim31):
     rho = random_parity_density(31, 26, seed=5)
     mats = [cf.build_band_matrix(p, params, dim31) for p in range(32)]
     bands = [np.diagonal(rho.elements, offset=p).copy() for p in range(32)]
-    direct = rho
+    direct = rho.elements
     for _ in range(50):
-        direct = cf.strobo_step(direct, params)
+        direct = dense_step(direct, params)
         bands = [m.entries @ v for m, v in zip(mats, bands)]
     rebuilt = np.zeros((32, 32), dtype=complex)
     for p in range(32):
@@ -134,7 +133,7 @@ def test_08_band_matrix_equivalence(dim31):
         rebuilt[idx, idx + p] = bands[p]
         if p:
             rebuilt[idx + p, idx] = np.conj(bands[p])
-    worst = float(np.max(np.abs(rebuilt - direct.elements)))
+    worst = float(np.max(np.abs(rebuilt - direct)))
     radius_ok = True
     for m in mats:
         if m.entries.size:
@@ -142,7 +141,7 @@ def test_08_band_matrix_equivalence(dim31):
     unit = np.abs(np.linalg.eigvals(mats[0].entries) - 1.0) < 1e-10
     report(
         8,
-        "fifty steps by band matrices vs operational map",
+        "fifty steps by band matrices vs the dense Kraus map",
         worst,
         1e-10,
         passed=(worst <= 1e-10 and radius_ok and int(np.sum(unit)) == 1),

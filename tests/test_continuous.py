@@ -143,7 +143,7 @@ class TestDampedCatClosedForm:
     def test_vacuum_bath_routes_agree(self, gt):
         # band-exponential evolution at zero efficiency and the photon-loss
         # Kraus sum are independent implementations of the same channel
-        from cavityfeedback import dissipation_map
+        from test_strobo import dissipation_map
 
         rho0 = random_density(31, 26, seed=11)
         via_bands = evolve_continuous(rho0, ContinuousParams(1.0, 0.0), gt)

@@ -3,21 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cavityfeedback.fock as fock
+import cavityfeedback.strobo as strobo
 from cavityfeedback import (
     BandMatrix,
     CatParity,
     DensityMatrix,
     FockDim,
     NumericalInvariantError,
+    SequenceRecord,
     StroboParams,
     TruncationError,
     analytic_stationary_state,
     build_band_matrix,
     cat_state,
     coherent_state,
-    conditional_split,
-    dissipation_map,
-    feedback_atom_map,
+    evolve_strobo,
     feedback_superop,
     fock_superposition,
     p_ee_analytic,
@@ -29,7 +30,124 @@ from cavityfeedback import (
     trace_distance,
 )
 from cavityfeedback.fock import density_margins
+from cavityfeedback.strobo import _CHUNK, _kraus_log_table
 from conftest import random_density, random_parity_density
+
+# Dense elementwise forms of the stroboscopic maps.  The library runs every
+# map through per-band step matrices; these are the oracles it is checked
+# against.
+
+
+def _parity_masks(n_dim):
+    odd = (np.arange(n_dim) % 2 == 1).astype(float)
+    return np.outer(odd, odd), np.outer(1.0 - odd, 1.0 - odd)
+
+
+def conditional_split(rho):
+    """Odd and even projections of rho (unnormalised) and their traces P_e, P_g."""
+    arr = np.asarray(rho.elements)
+    mask_odd, mask_even = _parity_masks(arr.shape[0])
+    rho_e = arr * mask_odd
+    rho_g = arr * mask_even
+    return rho_e, rho_g, float(np.real(np.trace(rho_e))), float(np.real(np.trace(rho_g)))
+
+
+def _feedback_atom_elements(arr, mu):
+    n_dim = arr.shape[0]
+    top = float(np.real(arr[-1, -1]))
+    if top > 1e-10:
+        raise TruncationError(f"population {top:.3e} on the top Fock level")
+    cos_up = np.cos(mu * np.sqrt(np.arange(1, n_dim + 1)))
+    sin_at = np.sin(mu * np.sqrt(np.arange(n_dim)))
+    out = np.outer(cos_up, cos_up) * arr
+    out[1:, 1:] += np.outer(sin_at[1:], sin_at[1:]) * arr[:-1, :-1]
+    return out
+
+
+def _feedback_superop_elements(arr, params):
+    mask_odd, mask_even = _parity_masks(arr.shape[0])
+    rho_e = arr * mask_odd
+    rho_g = arr * mask_even
+    eta = params.eta
+    out = eta * rho_e + (1.0 - eta) * (rho_e + rho_g)
+    if eta:
+        out = out + eta * _feedback_atom_elements(rho_g, params.mu)
+    return out
+
+
+def _dissipation_elements(arr, gamma_T):
+    if gamma_T == 0.0:
+        return arr.copy()
+    n_dim = arr.shape[0]
+    c = _kraus_log_table(n_dim, gamma_T)
+    out = np.zeros_like(arr)
+    for k in range(n_dim):
+        m = n_dim - k
+        ck = c[:m, k]
+        out[:m, :m] += np.outer(ck, ck) * arr[k:, k:]
+    return out
+
+
+def dense_step(arr, params):
+    """One period on a dense matrix: feedback, then the Kraus sum."""
+    arr = _feedback_superop_elements(arr, params)
+    arr = _dissipation_elements(arr, params.gamma_T)
+    return (arr + arr.conj().T) / 2.0
+
+
+def feedback_atom_map(rho, mu):
+    """Resonant feedback atom acting unconditionally on the field."""
+    out = _feedback_atom_elements(np.asarray(rho.elements), mu)
+    return DensityMatrix.from_map(out[None], rho.dim)[0]
+
+
+def dissipation_map(rho, gamma_T):
+    """Vacuum-bath relaxation over gamma_T as a Kraus sum over every loss number."""
+    if gamma_T < 0:
+        raise ValueError("gamma_T must be >= 0")
+    out = _dissipation_elements(np.asarray(rho.elements), gamma_T)
+    return DensityMatrix.from_map(out[None], rho.dim)[0]
+
+
+def band_matrix_rows(p, params, dim):
+    """The one-step matrix of band p, assembled one row at a time."""
+    n_dim = dim.size
+    length = n_dim - p
+    mat = np.zeros((length, length))
+    if p % 2 == 1:
+        return mat
+    eta, mu = params.eta, params.mu
+    if params.gamma_T > 0:
+        c = _kraus_log_table(n_dim, params.gamma_T)
+    else:
+        c = np.zeros((n_dim, n_dim))
+        c[:, 0] = 1.0
+    for n in range(length):
+        ks = np.arange(length - n)
+        n1 = n + ks
+        m1 = n + p + ks
+        even1 = (n1 % 2 == 0).astype(float)
+        row = c[n, ks] * c[n + p, ks] * (
+            eta * (1.0 - even1)
+            + (1.0 - eta)
+            + eta * even1 * np.cos(mu * np.sqrt(n1 + 1.0)) * np.cos(mu * np.sqrt(m1 + 1.0))
+        )
+        fit = m1 + 1 <= n_dim - 1
+        kf = ks[fit]
+        row[fit] += (
+            eta
+            * even1[fit]
+            * c[n, kf + 1]
+            * c[n + p, kf + 1]
+            * np.sin(mu * np.sqrt(n1[fit] + 1.0))
+            * np.sin(mu * np.sqrt(m1[fit] + 1.0))
+        )
+        mat[n, n:] = row
+        if n >= 1 and n % 2 == 1:
+            mat[n, n - 1] += (
+                eta * c[n, 0] * c[n + p, 0] * np.sin(mu * np.sqrt(n)) * np.sin(mu * np.sqrt(n + p))
+            )
+    return mat
 
 
 def odd_cat(alpha2, dim):
@@ -390,8 +508,12 @@ _PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)  # same d
 _DIM = FockDim(31)
 _CROSS = (np.arange(32)[:, None] + np.arange(32)[None, :]) % 2 == 1
 
+# gamma_T = 0 takes the no-dissipation branch of the Kraus table, so draw it on purpose
 params_drawn = st.builds(
-    StroboParams, eta=st.floats(0.0, 1.0), mu=st.floats(0.0, np.pi), gamma_T=st.floats(0.0, 2.0)
+    StroboParams,
+    eta=st.floats(0.0, 1.0),
+    mu=st.floats(0.0, np.pi),
+    gamma_T=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
 )
 
 
@@ -425,7 +547,7 @@ class TestStroboProperties:
     @_PROPERTY
     @given(rho=field_states(), params=params_drawn)
     def test_band_path_matches_dense_step(self, rho, params):
-        dense = strobo_step(rho, params).elements
+        dense = dense_step(rho.elements, params)
         assert np.max(np.abs(step_with_bands(rho, params) - dense)) < 1e-12
         # the parity measurement removes every odd-even coherence in one step
         assert np.max(np.abs(dense[_CROSS])) == 0.0
@@ -436,3 +558,128 @@ class TestStroboProperties:
         for rec in run_sequence(rho, params, steps).records:
             assert abs(rec.p_e + rec.p_g - 1.0) <= 1e-10
             assert min(rec.p_e, rec.p_g) >= -1e-12
+
+
+_STEP_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+
+
+@st.composite
+def start_states(draw):
+    """Cats and coherent states, or a random state without parity coherences."""
+    if draw(st.booleans()):
+        return draw(field_states())
+    return random_parity_density(31, 26, draw(st.integers(0, 2**16)))
+
+
+def dense_states(rho, params, steps):
+    """rho and its images under 1 .. steps periods of the dense oracle."""
+    states = [rho.elements]
+    for _ in range(steps):
+        states.append(dense_step(states[-1], params))
+    return np.array(states)
+
+
+class TestEvolveStrobo:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(params=params_drawn, dim=st.sampled_from([FockDim(15), FockDim(30), FockDim(31)]))
+    def test_band_matrices_equal_the_row_loop(self, params, dim):
+        for p in range(dim.size):
+            assert np.array_equal(
+                build_band_matrix(p, params, dim).entries, band_matrix_rows(p, params, dim)
+            )
+
+    @_PROPERTY
+    @given(rho=start_states(), params=params_drawn)
+    def test_every_state_matches_the_dense_oracle(self, rho, params):
+        oracle = dense_states(rho, params, max(_STEP_COUNTS))
+        for steps in _STEP_COUNTS:
+            run = evolve_strobo(rho, params, steps)
+            assert np.max(np.abs(run.state.elements - oracle[steps])) <= 1e-12
+            pops = np.real(np.diagonal(oracle[: steps + 1], axis1=1, axis2=2))
+            assert np.max(np.abs(run.populations - pops)) <= 1e-12
+            for rec in run_sequence(rho, params, steps).records:
+                assert abs(rec.p_e + rec.p_g - 1.0) <= 1e-10
+
+    def test_check_density_sees_every_state_once(self, dim31, monkeypatch):
+        rho = odd_cat(3.3, dim31)
+        params = StroboParams(0.6, 0.9, 0.05)
+        steps = 3 * _CHUNK + 5
+        seen = []
+        real_check = fock.check_density
+
+        def spy(stack, error=ValueError):
+            seen.extend(np.array(stack))
+            return real_check(stack, error)
+
+        monkeypatch.setattr(fock, "check_density", spy)
+        final = evolve_strobo(rho, params, steps).state
+        assert len(seen) == steps
+        assert np.max(np.abs(np.array(seen) - dense_states(rho, params, steps)[1:])) <= 1e-12
+        assert np.array_equal(seen[-1], final.elements)
+
+    def test_fault_in_a_later_chunk_is_caught(self, dim31, monkeypatch):
+        rho = odd_cat(3.3, dim31)
+        params = StroboParams(0.6, 0.9, 0.05)
+        real_propagate = strobo._propagate
+        calls = []
+
+        def propagate(mat, step_matrix, steps):
+            stack = real_propagate(mat, step_matrix, steps)
+            calls.append(steps)
+            if len(calls) == 3:
+                stack[2] *= 1.001
+            return stack
+
+        monkeypatch.setattr(strobo, "_propagate", propagate)
+        with pytest.raises(NumericalInvariantError, match="trace"):
+            evolve_strobo(rho, params, 3 * _CHUNK + 5)
+        assert calls == [_CHUNK] * 3
+
+    @pytest.mark.parametrize("steps", [1, 2, _CHUNK + 3])
+    def test_probabilities_are_the_dense_split_of_each_state(self, steps, dim31):
+        rho = odd_cat(3.3, dim31)
+        params = StroboParams(0.7, 0.5, 0.02)
+        record = run_sequence(rho, params, steps + 1).records[steps]
+        _, _, p_e, p_g = conditional_split(evolve_strobo(rho, params, steps).state)
+        assert (record.p_e, record.p_g) == (p_e, p_g)
+
+    def test_zero_steps_return_the_input(self, dim31):
+        rho = odd_cat(3.3, dim31)
+        run = evolve_strobo(rho, StroboParams(0.6, 0.9, 0.05), 0)
+        assert run.state is rho
+        assert np.array_equal(run.populations, rho.populations()[None])
+        with pytest.raises(ValueError):
+            evolve_strobo(rho, StroboParams(0.6, 0.9, 0.05), -1)
+
+    def test_records_hold_no_digest(self):
+        assert SequenceRecord._fields == ("step", "p_e", "p_g")
+
+
+class TestTruncation:
+    """The feedback atom lifts an even top level out of the basis."""
+
+    @pytest.fixture
+    def topped(self):
+        dim = FockDim(30)  # size 31: the top level is even
+        return DensityMatrix(np.diag(np.r_[0.5, np.zeros(29), 0.5]).astype(complex), dim)
+
+    def test_feedback_on_even_top_level_raises(self, topped):
+        params = StroboParams(0.5, 0.7, 0.05)
+        with pytest.raises(TruncationError):
+            dense_step(topped.elements, params)
+        with pytest.raises(TruncationError):
+            strobo_step(topped, params)
+        with pytest.raises(TruncationError):
+            run_sequence(topped, params, 3)
+
+    def test_without_feedback_nothing_raises(self, topped):
+        params = StroboParams(0.0, 0.7, 0.05)
+        oracle = dense_step(topped.elements, params)
+        assert np.max(np.abs(strobo_step(topped, params).elements - oracle)) <= 1e-12
+        run_sequence(topped, params, 3)
+
+    def test_odd_top_level_is_never_lifted(self, dim31):
+        rho = DensityMatrix(np.diag(np.r_[0.5, np.zeros(30), 0.5]).astype(complex), dim31)
+        params = StroboParams(0.5, 0.7, 0.05)
+        oracle = dense_step(rho.elements, params)
+        assert np.max(np.abs(strobo_step(rho, params).elements - oracle)) <= 1e-12
