@@ -21,10 +21,8 @@ from .adiabatic import (
 )
 from .continuous import (
     ContinuousParams,
-    DiagonalBand,
     FidelityCurve,
     cat_fidelity_analytic,
-    diagonal_band,
     evolve_continuous,
     evolve_continuous_grid,
     evolve_operator,
@@ -65,15 +63,13 @@ from .qubits import (
     QubitSpec,
     approx_n_opt,
     min_fidelity,
-    numeric_two_mode_check,
     optimal_n,
     protection_report,
     threshold_eta,
 )
 from .strobo import (
     BandMatrix,
-    SequenceRecord,
-    SequenceTrace,
+    DetectionSequence,
     StroboParams,
     StroboRun,
     analytic_stationary_state,
@@ -93,7 +89,6 @@ from .wigner import (
     default_cartesian_grid,
     default_polar_grid,
     fringe_visibility,
-    generalized_laguerre,
     sqrt_diffusion_generator_wigner,
     wigner_function,
 )

@@ -50,7 +50,7 @@ from .fock import (
 )
 from .qubits import QubitSpec, min_fidelity, optimal_n, threshold_eta
 from .strobo import StroboParams, analytic_stationary_state, evolve_strobo, p_ee_analytic, run_sequence
-from .wigner import CartesianGrid, fringe_visibility, wigner_function
+from .wigner import default_cartesian_grid, fringe_visibility, wigner_function
 
 _FIG7_SETS = (
     (np.pi / 6, 0.02),
@@ -199,9 +199,10 @@ def cmd_fidelity_cat(cfg):
     alpha2 = _require(cfg, "alpha2", float, "fidelity-cat")
     if alpha2 <= 0:
         raise ConfigError("alpha2", "must be positive")
-    parity = {"odd": CatParity.ODD, "even": CatParity.EVEN}.get(cfg.get("parity"))
-    if parity is None:
+    parity = cfg.get("parity")
+    if not isinstance(parity, str) or parity not in ("odd", "even"):
         raise ConfigError("parity", "must be 'odd' or 'even'")
+    parity = CatParity.ODD if parity == "odd" else CatParity.EVEN
     etas = _eta_list(cfg, "fidelity-cat")
     times = _time_grid(cfg)
     dim = FockDim(_require(cfg, "dim", int, "fidelity-cat"))
@@ -291,9 +292,7 @@ def cmd_wigner(cfg):
         raise ConfigError("grid_extent", "must be positive")
     if points < 2:
         raise ConfigError("grid_points", "must be >= 2")
-    axis = np.linspace(-extent, extent, points)
-    grid = CartesianGrid(axis, axis.copy())
-    wg = wigner_function(rho, grid)
+    wg = wigner_function(rho, default_cartesian_grid(extent, points))
 
     checks = [_check("quadrature_normalisation", wg.integral - 1.0, 1e-3)]
     extras = {
@@ -334,7 +333,7 @@ def cmd_strobo_pe(cfg):
     dim = FockDim(_require(cfg, "dim", int, "strobo-pe"))
 
     rho0 = DensityMatrix.from_state(cat_state(np.sqrt(alpha2), CatParity.ODD, dim))
-    traces = []
+    runs = []
     stationary = []
     worst_nofb = None
     for entry in sets:
@@ -346,40 +345,38 @@ def cmd_strobo_pe(cfg):
             raise ConfigError("sets", "gamma_T must be positive")
         params = StroboParams(eta, mu, gamma_T)
         steps = int(round(gt_max / gamma_T)) + 1
-        trace = run_sequence(rho0, params, steps)
-        traces.append((mu, gamma_T, trace))
+        seq = run_sequence(rho0, params, steps)
+        runs.append((mu, gamma_T, seq))
         stat = analytic_stationary_state(params, dim)
         stationary.append(float(np.real(stat.elements[1, 1])))
         if mu == 0.0:
             dev = max(
-                abs(rec.p_e - p_ee_analytic(alpha2, rec.step * gamma_T))
-                for rec in trace.records
+                abs(float(pe) - p_ee_analytic(alpha2, step * gamma_T))
+                for step, pe in enumerate(seq.p_e)
             )
             worst_nofb = dev if worst_nofb is None else max(worst_nofb, dev)
     checks = []
     if worst_nofb is not None:
         checks.append(_check("no_feedback_vs_closed_form", worst_nofb, 1e-8))
-    prob_dev = max(
-        abs(rec.p_e + rec.p_g - 1.0) for _, _, tr in traces for rec in tr.records
-    )
+    prob_dev = max(np.max(np.abs(seq.p_e + seq.p_g - 1.0)) for _, _, seq in runs)
     checks.append(_check("probability_normalisation", prob_dev, 1e-10))
 
     # the step column is stored as floats ("%.12g" writes them as integers);
     # cells past the end of a shorter set are masked and written blank
-    n_rows = max(len(tr.records) for _, _, tr in traces)
+    n_rows = max(seq.p_e.size for _, _, seq in runs)
     steps = np.arange(n_rows, dtype=float)
     header = ["step"]
-    rows = np.ma.masked_all((n_rows, 1 + 2 * len(traces)))
+    rows = np.ma.masked_all((n_rows, 1 + 2 * len(runs)))
     rows[:, 0] = steps
-    for i, (_, gamma_T, tr) in enumerate(traces):
+    for i, (_, gamma_T, seq) in enumerate(runs):
         header += [f"gt_set{i}", f"pe_set{i}"]
-        k = len(tr.records)
+        k = seq.p_e.size
         rows[:k, 2 * i + 1] = steps[:k] * gamma_T
-        rows[:k, 2 * i + 2] = [rec.p_e for rec in tr.records]
+        rows[:k, 2 * i + 2] = seq.p_e
     extras = {
-        "sets": [[mu, gt] for mu, gt, _ in traces],
+        "sets": [[mu, gt] for mu, gt, _ in runs],
         "stationary_pe": stationary,
-        "final_pe": [tr.records[-1].p_e for _, _, tr in traces],
+        "final_pe": [float(seq.p_e[-1]) for _, _, seq in runs],
     }
     return header, rows, checks, extras
 
@@ -390,9 +387,9 @@ def cmd_qubit_protect(cfg):
         raise ConfigError("eta", "must lie in [0, 1)")
     times = _time_grid(cfg)
     n_opt = optimal_n(eta)
-    n = cfg.get("n", n_opt)
-    m = cfg.get("m", n_opt + 1)
-    if not isinstance(n, int) or not isinstance(m, int) or n < 0 or m < 0 or n == m:
+    n = _integer("n", cfg.get("n", n_opt))
+    m = _integer("m", cfg.get("m", n_opt + 1))
+    if n < 0 or m < 0 or n == m:
         raise ConfigError("n", "need distinct non-negative integers n, m")
     spec = QubitSpec(n, m)
     curve = [min_fidelity(spec, eta, t) for t in times]
@@ -418,7 +415,7 @@ def cmd_adiabatic(cfg):
     areas = cfg.get("areas")
     if not isinstance(areas, list) or not areas:
         raise ConfigError("areas", "need a non-empty list of pulse areas")
-    areas = [float(a) for a in areas]
+    areas = [_number("areas", a) for a in areas]
     if any(a <= 0 for a in areas):
         raise ConfigError("areas", "pulse areas must be positive")
     steps = _require(cfg, "steps", int, "adiabatic")
@@ -453,14 +450,25 @@ def cmd_adiabatic(cfg):
     return header, rows, checks, extras
 
 
+# each command and the flags it reads besides --config and --out; a flag is
+# named by the config key it sets, and "sets.mu" sets the mu of every set
 _COMMANDS = {
-    "fidelity-cat": cmd_fidelity_cat,
-    "fidelity-fock": cmd_fidelity_fock,
-    "wigner": cmd_wigner,
-    "strobo-pe": cmd_strobo_pe,
-    "qubit-protect": cmd_qubit_protect,
-    "adiabatic": cmd_adiabatic,
+    "fidelity-cat": (cmd_fidelity_cat, ("alpha2", "eta", "gamma_t", "steps", "dim")),
+    "fidelity-fock": (cmd_fidelity_fock, ("alpha2", "eta", "gamma_t", "steps", "dim")),
+    "wigner": (cmd_wigner, (
+        "state.alpha2", "evolution.eta", "evolution.mu", "evolution.gamma_t", "evolution.steps",
+        "dim", "grid_extent", "grid_points",
+    )),
+    "strobo-pe": (cmd_strobo_pe, ("alpha2", "eta", "sets.mu", "gamma_t", "dim")),
+    "qubit-protect": (cmd_qubit_protect, ("eta", "gamma_t", "steps")),
+    "adiabatic": (cmd_adiabatic, ("state.alpha2", "steps", "dim")),
 }
+_FLAG_TYPES = {"eta": str, "steps": int, "dim": int, "grid_points": int}  # the rest are floats
+_FLAG_HELP = {
+    "eta": "one value, or a comma list on fidelity-cat and fidelity-fock",
+    "dim": "Fock cutoff n_max",
+}
+_ETA_LISTS = ("fidelity-cat", "fidelity-fock")
 
 
 def _csv_text(header, rows) -> str:
@@ -518,78 +526,56 @@ def _load_config_file(path: str) -> dict:
     return obj
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Each subcommand accepts only the flags of `_COMMANDS`.  Every build leaves
+    argparse reference cycles to the cyclic collector, so a parser built per
+    `main` call grows the heap with the number of calls.
+    """
     parser = argparse.ArgumentParser(
         prog="cavityfb",
         description="Cavity state protection: figure-reproduction data runs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, keys) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--alpha2", type=float, default=None)
-        p.add_argument("--eta", type=str, default=None, help="single value or comma list")
-        p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--gamma-t", dest="gamma_t", type=float, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--dim", type=int, default=None, help="Fock cutoff n_max")
-        p.add_argument("--grid-extent", dest="grid_extent", type=float, default=None)
-        p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
+        for flag in (key.rpartition(".")[2] for key in keys):
+            p.add_argument(
+                "--" + flag.replace("_", "-"),
+                dest=flag,
+                type=_FLAG_TYPES.get(flag, float),
+                help=_FLAG_HELP.get(flag),
+            )
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, required=True, help="output CSV path")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use.
-
-    Every build leaves argparse reference cycles to the cyclic collector, so
-    a parser built per `main` call grows the heap with the number of calls.
-    """
-    return _build_parser()
 
 
 def _resolve(command: str, args) -> dict:
     cfg = json.loads(json.dumps(_DEFAULTS[command]))  # deep copy of the defaults
     if args.config:
         cfg.update(_load_config_file(args.config))
-    if args.alpha2 is not None:
-        cfg["alpha2"] = args.alpha2
-        if command in ("wigner", "adiabatic"):
-            cfg.setdefault("state", {})["alpha2"] = args.alpha2
-    if args.eta is not None:
-        vals = [float(v) for v in args.eta.split(",") if v.strip() != ""]
-        if not vals:
-            raise ConfigError("eta", "empty value")
-        if command in ("fidelity-cat", "fidelity-fock"):
-            cfg["eta"] = vals
-        elif command == "wigner":
-            cfg.setdefault("evolution", {})["eta"] = vals[0]
+    for key in _COMMANDS[command][1]:
+        section, _, flag = key.rpartition(".")
+        val = getattr(args, flag)
+        if val is None:
+            continue
+        if flag == "eta":
+            val = [float(v) for v in val.split(",") if v.strip() != ""]
+            if not val:
+                raise ConfigError("eta", "empty value")
+            if command not in _ETA_LISTS:
+                if len(val) > 1:
+                    raise ConfigError("eta", f"{command} takes a single value, got {args.eta!r}")
+                val = val[0]
+        if section == "sets":
+            cfg["sets"] = [[val, gt] for _, gt in cfg["sets"]]
+        elif section:
+            cfg.setdefault(section, {})[flag] = val
         else:
-            cfg["eta"] = vals[0]
-    if args.mu is not None:
-        if command == "wigner":
-            cfg.setdefault("evolution", {})["mu"] = args.mu
-        elif command == "strobo-pe":
-            cfg["sets"] = [[args.mu, gt] for _, gt in (s for s in cfg["sets"])]
-        else:
-            cfg["mu"] = args.mu
-    if args.gamma_t is not None:
-        if command == "wigner":
-            cfg.setdefault("evolution", {})["gamma_t"] = args.gamma_t
-        else:
-            cfg["gamma_t"] = args.gamma_t
-    if args.steps is not None:
-        if command == "wigner":
-            cfg.setdefault("evolution", {})["steps"] = args.steps
-        else:
-            cfg["steps"] = args.steps
-    if args.grid_extent is not None:
-        cfg["grid_extent"] = args.grid_extent
-    if args.grid_points is not None:
-        cfg["grid_points"] = args.grid_points
-    if args.dim is not None:
-        cfg["dim"] = args.dim
+            cfg[flag] = val
     return cfg
 
 
@@ -623,7 +609,7 @@ def main(argv=None) -> int:
         if out_path.suffix != ".csv":
             raise ConfigError("out", "output path must end in .csv")
         with _thread_cap():
-            header, rows, checks, extras = _COMMANDS[args.command](cfg)
+            header, rows, checks, extras = _COMMANDS[args.command][0](cfg)
         sidecar = _write_outputs(out_path, args.command, cfg, header, rows, checks, extras)
         if not sidecar["all_invariants_passed"]:
             failed = [c["name"] for c in checks if not c["passed"]]

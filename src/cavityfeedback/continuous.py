@@ -53,31 +53,6 @@ class ContinuousParams:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
 
-@dataclass(frozen=True)
-class DiagonalBand:
-    """Vector of matrix elements rho_{n,n+p} sharing off-diagonal index p."""
-
-    p: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("off-diagonal index p must be >= 0")
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1:
-            raise ValueError("band values must be a vector")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-def diagonal_band(rho: DensityMatrix, p: int) -> DiagonalBand:
-    """Extract the band rho_{n,n+p}, n = 0 .. N-1-p."""
-    if p > rho.dim.n_max:
-        raise ValueError(f"band index {p} exceeds n_max = {rho.dim.n_max}")
-    return DiagonalBand(p, np.diagonal(rho.elements, offset=p).copy())
-
-
 def _band_generator(eta: float, p: int, length: int):
     """Per-band generator in units of gamma: diagonal and upper coupling."""
     i = np.arange(length, dtype=float)

@@ -74,24 +74,6 @@ class BandMatrix:
         object.__setattr__(self, "entries", mat)
 
 
-class SequenceRecord(NamedTuple):
-    step: int
-    p_e: float
-    p_g: float
-
-
-@dataclass(frozen=True)
-class SequenceTrace:
-    """Probe detection probabilities recorded before each feedback period."""
-
-    records: tuple
-
-    def __post_init__(self):
-        for rec in self.records:
-            if abs(rec.p_e + rec.p_g - 1.0) > 1e-10:
-                raise ValueError(f"P_e + P_g = {rec.p_e + rec.p_g!r} at step {rec.step}")
-
-
 def _kraus_log_table(n_dim: int, gamma_T: float) -> np.ndarray:
     """Amplitudes c_{n,k} of the vacuum-bath Kraus operators, via log-gamma."""
     n = np.arange(n_dim, dtype=float)[:, None]
@@ -285,12 +267,21 @@ def p_ee_analytic(alpha2: float, gamma_T_total: float) -> float:
     return float(0.5 * (1.0 - num / den))
 
 
-def run_sequence(rho0: DensityMatrix, params: StroboParams, steps: int) -> SequenceTrace:
+class DetectionSequence(NamedTuple):
+    """Probe detection probabilities, read-only arrays indexed by step."""
+
+    p_e: np.ndarray  # odd outcome, the probe atom found in e
+    p_g: np.ndarray  # even outcome, the probe atom found in g
+
+
+def run_sequence(rho0: DensityMatrix, params: StroboParams, steps: int) -> DetectionSequence:
     """Record the probe detection probabilities over a feedback sequence.
 
     Before each of the `steps` periods the e/g probabilities of the current
     state are recorded (the statistics of the probe atom about to fly), then
-    one full period is applied.
+    one full period is applied.  A step whose two probabilities miss 1 by
+    more than 1e-10 is a fault of the computation and raises
+    NumericalInvariantError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -300,9 +291,12 @@ def run_sequence(rho0: DensityMatrix, params: StroboParams, steps: int) -> Seque
     # sums them, so that each probability is that trace to the last bit
     p_e = np.sum(populations * odd, axis=1, dtype=complex).real
     p_g = np.sum(populations * (1 - odd), axis=1, dtype=complex).real
-    return SequenceTrace(
-        tuple(SequenceRecord(step, float(e), float(g)) for step, (e, g) in enumerate(zip(p_e, p_g)))
-    )
+    miss = float(np.max(np.abs(p_e + p_g - 1.0)))
+    if not miss <= _TRACE_TOL:
+        raise NumericalInvariantError(f"P_e + P_g misses 1 by {miss:.3e}")
+    p_e.setflags(write=False)
+    p_g.setflags(write=False)
+    return DetectionSequence(p_e, p_g)
 
 
 def resonance_angle(n_bar: float, m: int) -> float:

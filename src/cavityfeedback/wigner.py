@@ -20,8 +20,17 @@ from scipy.special import gammaln
 from .errors import GridTooCoarseError
 from .fock import DensityMatrix
 
-_QUAD_SOFT_TOL = 1e-3
 _QUAD_HARD_TOL = 1e-2
+
+
+def _axis(name: str, values) -> np.ndarray:
+    """A read-only, strictly increasing grid axis of at least 2 points."""
+    ax = np.asarray(values, dtype=float)
+    if ax.ndim != 1 or ax.size < 2 or np.any(np.diff(ax) <= 0):
+        raise ValueError(f"{name} axis must be strictly increasing with >= 2 points")
+    ax = np.ascontiguousarray(ax)
+    ax.setflags(write=False)
+    return ax
 
 
 @dataclass(frozen=True)
@@ -32,13 +41,8 @@ class CartesianGrid:
     y: np.ndarray
 
     def __post_init__(self):
-        for name in ("x", "y"):
-            ax = np.asarray(getattr(self, name), dtype=float)
-            if ax.ndim != 1 or ax.size < 2 or np.any(np.diff(ax) <= 0):
-                raise ValueError(f"{name} axis must be strictly increasing with >= 2 points")
-            ax = np.ascontiguousarray(ax)
-            ax.setflags(write=False)
-            object.__setattr__(self, name, ax)
+        object.__setattr__(self, "x", _axis("x", self.x))
+        object.__setattr__(self, "y", _axis("y", self.y))
 
 
 @dataclass(frozen=True)
@@ -49,13 +53,8 @@ class PolarGrid:
     theta: np.ndarray
 
     def __post_init__(self):
-        for name in ("r", "theta"):
-            ax = np.asarray(getattr(self, name), dtype=float)
-            if ax.ndim != 1 or ax.size < 2 or np.any(np.diff(ax) <= 0):
-                raise ValueError(f"{name} axis must be strictly increasing with >= 2 points")
-            ax = np.ascontiguousarray(ax)
-            ax.setflags(write=False)
-            object.__setattr__(self, name, ax)
+        object.__setattr__(self, "r", _axis("r", self.r))
+        object.__setattr__(self, "theta", _axis("theta", self.theta))
         if np.any(self.r < 0):
             raise ValueError("radii must be >= 0")
 
@@ -73,7 +72,6 @@ class WignerGrid:
     axis2: np.ndarray
     values: np.ndarray
     source_digest: str
-    extent: tuple
     integral: float
 
     def __post_init__(self):
@@ -95,20 +93,6 @@ def default_cartesian_grid(extent: float = 4.5, points: int = 121) -> CartesianG
 def default_polar_grid(r_max: float, n_r: int = 81, n_theta: int = 256) -> PolarGrid:
     """Polar grid with the closing theta = 2 pi point included for quadrature."""
     return PolarGrid(np.linspace(0.0, r_max, n_r), np.linspace(0.0, 2.0 * np.pi, n_theta + 1))
-
-
-def generalized_laguerre(n: int, k: int, x):
-    """Associated Laguerre polynomial L_n^k(x) by the three-term recurrence."""
-    if n < 0 or k < 0:
-        raise ValueError("need n >= 0 and k >= 0")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = k + 1.0 - x
-    for i in range(1, n):
-        prev, cur = cur, ((2.0 * i + k + 1.0 - x) * cur - (i + k) * prev) / (i + 1.0)
-    return cur if cur.ndim else float(cur)
 
 
 def _radial_seed(d: int, r: np.ndarray) -> np.ndarray:
@@ -151,15 +135,15 @@ def _band_coefficients(op: np.ndarray, r: np.ndarray) -> list:
     return coeffs
 
 
-def _transform_cartesian(op: np.ndarray, grid: CartesianGrid) -> np.ndarray:
-    xg, yg = np.meshgrid(grid.x, grid.y, indexing="ij")
-    r = np.hypot(xg, yg).ravel()
-    theta = np.arctan2(yg, xg).ravel()
-    # the recurrence is elementwise in r, so it runs once per distinct radius;
-    # each band is scattered back to the grid only while it is summed
-    radii, at = np.unique(r, return_inverse=True)
+def _transform_points(op: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """W at the points (r, theta), two arrays of one shape, for either grid kind."""
+    # the recurrence is elementwise in r and the harmonics in theta, so each
+    # runs once per distinct radius or angle (a polar grid has one row of
+    # each); a band is scattered back to the points only while it is summed
+    radii, at = np.unique(r.ravel(), return_inverse=True)
+    angles, turn = np.unique(theta.ravel(), return_inverse=True)
     coeffs = _band_coefficients(op, radii)
-    w = np.zeros_like(r)
+    w = np.zeros(r.size)
     for d, c in enumerate(coeffs):
         if c is None:
             continue
@@ -167,24 +151,8 @@ def _transform_cartesian(op: np.ndarray, grid: CartesianGrid) -> np.ndarray:
         if d == 0:
             w += c.real
         else:
-            w += 2.0 * (np.cos(d * theta) * c.real - np.sin(d * theta) * c.imag)
-    return (2.0 / np.pi) * w.reshape(xg.shape)
-
-
-def _transform_polar(op: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    coeffs = _band_coefficients(op, grid.r)
-    w = np.zeros((grid.r.size, grid.theta.size))
-    for d, c in enumerate(coeffs):
-        if c is None:
-            continue
-        if d == 0:
-            w += c.real[:, None]
-        else:
-            w += 2.0 * (
-                np.outer(c.real, np.cos(d * grid.theta))
-                - np.outer(c.imag, np.sin(d * grid.theta))
-            )
-    return (2.0 / np.pi) * w
+            w += 2.0 * (np.cos(d * angles)[turn] * c.real - np.sin(d * angles)[turn] * c.imag)
+    return (2.0 / np.pi) * w.reshape(r.shape)
 
 
 def _quadrature(kind: str, grid, values: np.ndarray) -> float:
@@ -197,10 +165,11 @@ def _quadrature(kind: str, grid, values: np.ndarray) -> float:
 def _transform(op: np.ndarray, grid, source_digest: str, expected_integral: float) -> WignerGrid:
     if isinstance(grid, CartesianGrid):
         kind, ax1, ax2 = "cartesian", grid.x, grid.y
-        values = _transform_cartesian(op, grid)
+        xg, yg = np.meshgrid(ax1, ax2, indexing="ij")
+        values = _transform_points(op, np.hypot(xg, yg), np.arctan2(yg, xg))
     elif isinstance(grid, PolarGrid):
         kind, ax1, ax2 = "polar", grid.r, grid.theta
-        values = _transform_polar(op, grid)
+        values = _transform_points(op, *np.meshgrid(ax1, ax2, indexing="ij"))
     else:
         raise TypeError(f"unsupported grid type {type(grid).__name__}")
     integral = _quadrature(kind, grid, values)
@@ -212,8 +181,7 @@ def _transform(op: np.ndarray, grid, source_digest: str, expected_integral: floa
             f"quadrature gave {integral:.6f}, expected {expected_integral:.6f} "
             f"to within {_QUAD_HARD_TOL * scale:.3g}; grid too coarse or too small"
         )
-    extent = (float(ax1[0]), float(ax1[-1]), float(ax2[0]), float(ax2[-1]))
-    return WignerGrid(kind, ax1, ax2, values, source_digest, extent, integral)
+    return WignerGrid(kind, ax1, ax2, values, source_digest, integral)
 
 
 def wigner_function(rho: DensityMatrix, grid) -> WignerGrid:

@@ -110,11 +110,9 @@ def test_06_stroboscopic_fixed_point(dim31):
 
 def test_07_no_feedback_sequence_consistency(dim31):
     gt = 0.1
-    trace = cf.run_sequence(odd_cat(3.3, dim31), cf.StroboParams(0.4, 0.0, gt), steps=15)
-    worst = max(
-        abs(rec.p_e - cf.p_ee_analytic(3.3, rec.step * gt)) for rec in trace.records
-    )
-    worst = max(worst, abs(trace.records[0].p_e - 1.0))
+    seq = cf.run_sequence(odd_cat(3.3, dim31), cf.StroboParams(0.4, 0.0, gt), steps=15)
+    worst = max(abs(p_e - cf.p_ee_analytic(3.3, step * gt)) for step, p_e in enumerate(seq.p_e))
+    worst = max(worst, abs(seq.p_e[0] - 1.0))
     report(7, "no-feedback sequence vs closed-form detection curve", worst, 1e-8)
 
 
@@ -269,8 +267,8 @@ def test_13_sequence_orderings(dim31):
 
     def curve(eta, mu, gamma_t):
         steps = int(round(2.0 / gamma_t)) + 1
-        trace = cf.run_sequence(rho0, cf.StroboParams(eta, mu, gamma_t), steps)
-        return {round(rec.step * gamma_t, 10): rec.p_e for rec in trace.records}
+        seq = cf.run_sequence(rho0, cf.StroboParams(eta, mu, gamma_t), steps)
+        return {round(step * gamma_t, 10): p_e for step, p_e in enumerate(seq.p_e)}
 
     fams = {(eta, mu, gt): curve(eta, mu, gt) for eta in (1.0, 0.4) for mu, gt in sets}
     common = [round(0.2 * k, 10) for k in range(11)]

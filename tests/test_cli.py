@@ -238,12 +238,28 @@ class TestDeterminismAndEcho:
         s2 = json.loads(out2.with_suffix(".json").read_text())
         assert s1 == s2
 
-    def test_sidecar_echo_reproduces_run(self, tmp_path):
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fidelity-cat", "--eta", "0,0.5", "--steps", 4, "--dim", 31],
+            ["fidelity-fock", "--alpha2", 0.4, "--eta", "0.5", "--steps", 4],
+            ["wigner", "--alpha2", 2, "--eta", 0.5, "--gamma-t", 0.1, "--grid-points", 41, "--dim", 31],
+            ["strobo-pe", "--gamma-t", 0.4],
+            ["qubit-protect", "--eta", 0.6, "--steps", 10],
+            ["adiabatic", "--alpha2", 2, "--steps", 1500, "--dim", 21],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_sidecar_echo_reproduces_run(self, args, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli(["strobo-pe", "--gamma-t", 0.4, "--out", out1]) == 0
+        if args[0] == "adiabatic":  # one pulse area keeps the run short
+            (tmp_path / "cfg.json").write_text(json.dumps({"areas": [20.0]}))
+            args = args + ["--config", tmp_path / "cfg.json"]
+        assert run_cli(args + ["--out", out1]) == 0
         # feed the sidecar back in as the config file
-        assert run_cli(["strobo-pe", "--config", out1.with_suffix(".json"), "--out", out2]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        assert run_cli([args[0], "--config", out1.with_suffix(".json"), "--out", out2]) == 0
+        for suffix in (".csv", ".json"):
+            assert out1.with_suffix(suffix).read_bytes() == out2.with_suffix(suffix).read_bytes()
 
 
 class TestFailureClasses:
@@ -291,6 +307,17 @@ class TestFailureClasses:
         assert run_cli(args + ["--out", tmp_path / "out.csv"]) == 3
         assert "numerical failure: matrix is not Hermitian" in capsys.readouterr().err
 
+    def test_detection_probabilities_that_miss_one_exit_3(self, tmp_path, monkeypatch, capsys):
+        real = strobo.evolve_strobo
+
+        def off_by_1e9(rho0, params, steps):
+            run = real(rho0, params, steps)
+            return run._replace(populations=run.populations * (1.0 + 1e-9))
+
+        monkeypatch.setattr(strobo, "evolve_strobo", off_by_1e9)
+        assert run_cli(["strobo-pe", "--gamma-t", 0.1, "--out", tmp_path / "out.csv"]) == 3
+        assert "numerical failure: P_e + P_g" in capsys.readouterr().err
+
 
 class TestConfigTypes:
     @pytest.mark.parametrize(
@@ -332,6 +359,10 @@ class TestConfigTypes:
                 {"state": {"kind": "fock", "terms": [[99, 1.0, 0.0]]}},
                 "state.terms: Fock index 99 outside [0, 63]",
             ),
+            ("adiabatic", {"areas": [None]}, "areas: expected a number, got None"),
+            ("adiabatic", {"areas": [True]}, "areas: expected a number, got True"),
+            ("fidelity-cat", {"parity": ["odd"]}, "parity: must be 'odd' or 'even'"),
+            ("qubit-protect", {"n": True}, "n: expected an integer, got True"),
         ],
     )
     def test_wrong_typed_value_exits_2(self, command, cfg, message, tmp_path, capsys):
@@ -456,24 +487,58 @@ class TestCsvWriter:
         assert not out.exists()
 
 
+# the flags each command reads, as the README lists them
+_ACCEPTED = {
+    "fidelity-cat": {"--alpha2", "--eta", "--gamma-t", "--steps", "--dim"},
+    "fidelity-fock": {"--alpha2", "--eta", "--gamma-t", "--steps", "--dim"},
+    "wigner": {
+        "--alpha2", "--eta", "--mu", "--gamma-t", "--steps", "--dim", "--grid-extent", "--grid-points",
+    },
+    "strobo-pe": {"--alpha2", "--eta", "--mu", "--gamma-t", "--dim"},
+    "qubit-protect": {"--eta", "--gamma-t", "--steps"},
+    "adiabatic": {"--alpha2", "--steps", "--dim"},
+}
+_VALUE_FLAGS = sorted(set().union(*_ACCEPTED.values()))
+
+
 class TestParser:
-    def test_built_once_per_process(self, tmp_path, monkeypatch):
-        built = []
-        real = cli._build_parser
-
-        def counting():
-            built.append(1)
-            return real()
-
-        monkeypatch.setattr(cli, "_build_parser", counting)
+    def test_built_once_per_process(self, tmp_path):
         cli._parser.cache_clear()
         try:
             assert run_cli(["qubit-protect", "--steps", 3, "--out", tmp_path / "a.csv"]) == 0
             assert run_cli(["fidelity-fock", "--steps", 3, "--out", tmp_path / "b.csv"]) == 0
             assert run_cli(["strobo-pe", "--gamma-t", 0.1, "--out", tmp_path / "c.csv"]) == 0
+            built = cli._parser.cache_info().misses
         finally:
             cli._parser.cache_clear()
-        assert len(built) == 1
+        assert built == 1
+
+    @pytest.mark.parametrize("command", sorted(_ACCEPTED))
+    def test_command_accepts_only_the_flags_it_reads(self, command, capsys):
+        assert sum(len(flags) + 2 for flags in _ACCEPTED.values()) == 41  # with --config, --out
+        for flag in _VALUE_FLAGS:
+            argv = [command, flag, "1", "--out", "x.csv"]
+            if flag in _ACCEPTED[command]:
+                assert getattr(cli._parser().parse_args(argv), flag[2:].replace("-", "_")) is not None
+                continue
+            with pytest.raises(SystemExit) as exit_info:
+                cli._parser().parse_args(argv)
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["wigner", "adiabatic"])
+    def test_alpha2_sets_only_the_state(self, command):
+        args = cli._parser().parse_args([command, "--alpha2", "3", "--out", "x.csv"])
+        cfg = cli._resolve(command, args)
+        assert "alpha2" not in cfg
+        assert cfg["state"]["alpha2"] == 3.0
+
+    @pytest.mark.parametrize("command", ["strobo-pe", "qubit-protect", "wigner"])
+    def test_eta_list_on_a_single_eta_command_exits_2(self, command, tmp_path, capsys):
+        assert run_cli([command, "--eta", "0.3,0.9", "--out", tmp_path / "out.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: eta: {command} takes a single value, got '0.3,0.9'\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_no_flag_state_leaks_between_calls(self, tmp_path):
         flagged = ["qubit-protect", "--eta", "0.3", "--steps", 10]

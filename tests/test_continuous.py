@@ -13,7 +13,6 @@ from cavityfeedback import (
     cat_fidelity_analytic,
     cat_state,
     coherent_state,
-    diagonal_band,
     evolve_continuous,
     evolve_continuous_grid,
     evolve_operator,
@@ -276,20 +275,6 @@ class TestMeanAmplitudeIdeal:
         rho = DensityMatrix.from_state(coherent_state(np.sqrt(3.3), dim63))
         evolved = evolve_continuous(rho, ContinuousParams(1.0, 1.0), 0.6)
         assert abs(mean_amplitude(evolved) - mean_amplitude_ideal(rho, 1.0, 0.6)) < 1e-10
-
-
-class TestDiagonalBand:
-    def test_extraction(self):
-        rho = random_density(7, 6, seed=8)
-        band = diagonal_band(rho, 2)
-        assert band.p == 2
-        assert band.values.shape == (6,)
-        assert np.array_equal(band.values, np.diagonal(rho.elements, offset=2))
-
-    def test_band_index_validation(self):
-        rho = random_density(7, 6, seed=8)
-        with pytest.raises(ValueError):
-            diagonal_band(rho, 8)
 
 
 def liouvillian(eta, size):

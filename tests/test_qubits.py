@@ -6,12 +6,77 @@ from cavityfeedback import (
     QubitSpec,
     UnboundedError,
     approx_n_opt,
+    evolve_operator,
     min_fidelity,
-    numeric_two_mode_check,
     optimal_n,
     protection_report,
     threshold_eta,
 )
+
+
+_BLOCH_AZIMUTHAL = 32
+_BLOCH_POLAR = 17
+
+
+def _bloch_grid():
+    phis = np.linspace(0.0, 2.0 * np.pi, _BLOCH_AZIMUTHAL, endpoint=False)
+    thetas = np.linspace(0.0, np.pi, _BLOCH_POLAR)
+    return phis, thetas
+
+
+def numeric_two_mode_check(spec: QubitSpec, eta: float, gamma_t: float) -> float:
+    """Worst-case fidelity from explicit two-mode evolution on a Bloch grid.
+
+    The oracle of `min_fidelity`.  Each polarised mode is evolved
+    independently; the two-mode state is the tensor product of the evolved
+    single-mode operators.  A brute-force cross-check of the closed form, not
+    a precision tool.
+    """
+    n, m = spec.n, spec.m
+    size = max(n, m) + 1  # population only flows downward, so this basis is exact
+    ket_n = np.zeros(size)
+    ket_n[n] = 1.0
+    ket_m = np.zeros(size)
+    ket_m[m] = 1.0
+    ops = {
+        (n, n): np.outer(ket_n, ket_n).astype(complex),
+        (m, m): np.outer(ket_m, ket_m).astype(complex),
+        (n, m): np.outer(ket_n, ket_m).astype(complex),
+        (m, n): np.outer(ket_m, ket_n).astype(complex),
+    }
+    evolved = {key: evolve_operator(op, eta, gamma_t) for key, op in ops.items()}
+
+    labels = ((n, m), (m, n))
+    # Tr over both modes factorises into single-mode traces; the Bloch
+    # amplitudes only reweight these fixed overlaps
+    overlap = {}
+    for ket in labels:
+        for bra in labels:
+            for ket2 in labels:
+                for bra2 in labels:
+                    t1 = np.trace(ops[(bra[0], ket[0])] @ evolved[(ket2[0], bra2[0])])
+                    t2 = np.trace(ops[(bra[1], ket[1])] @ evolved[(ket2[1], bra2[1])])
+                    overlap[(ket, bra, ket2, bra2)] = t1 * t2
+
+    phis, thetas = _bloch_grid()
+    worst = np.inf
+    for th in thetas:
+        a = np.cos(th / 2.0)
+        for ph in phis:
+            b = np.sin(th / 2.0) * np.exp(1j * ph)
+            # two-mode density matrix terms: |a|^2 |n,m><n,m| + a b* |n,m><m,n| + ...
+            weights = {
+                (labels[0], labels[0]): abs(a) ** 2,
+                (labels[0], labels[1]): a * np.conj(b),
+                (labels[1], labels[0]): np.conj(a) * b,
+                (labels[1], labels[1]): abs(b) ** 2,
+            }
+            fid = 0.0
+            for (ket, bra), w0 in weights.items():
+                for (ket2, bra2), wt in weights.items():
+                    fid += np.real(np.conj(w0) * wt * overlap[(ket, bra, ket2, bra2)])
+            worst = min(worst, fid)
+    return float(worst)
 
 
 def brute_force_n_opt(eta: float, n_hi: int = 10_000) -> int:

@@ -11,7 +11,6 @@ from cavityfeedback import (
     DensityMatrix,
     FockDim,
     NumericalInvariantError,
-    SequenceRecord,
     StroboParams,
     TruncationError,
     analytic_stationary_state,
@@ -409,21 +408,20 @@ class TestPeeAnalytic:
 class TestRunSequence:
     def test_no_feedback_reduces_to_closed_form(self, dim31):
         gt = 0.1
-        trace = run_sequence(odd_cat(3.3, dim31), StroboParams(0.4, 0.0, gt), steps=15)
-        for rec in trace.records:
-            assert abs(rec.p_e - p_ee_analytic(3.3, rec.step * gt)) < 1e-8
+        seq = run_sequence(odd_cat(3.3, dim31), StroboParams(0.4, 0.0, gt), steps=15)
+        for step, p_e in enumerate(seq.p_e):
+            assert abs(p_e - p_ee_analytic(3.3, step * gt)) < 1e-8
 
     def test_long_run_reaches_stationary_probability(self, dim31):
         params = StroboParams(1.0, np.pi / 2, 0.02)
-        trace = run_sequence(odd_cat(3.3, dim31), params, steps=2000)
-        assert abs(trace.records[-1].p_e - np.exp(-0.02)) < 1e-4
+        seq = run_sequence(odd_cat(3.3, dim31), params, steps=2000)
+        assert abs(seq.p_e[-1] - np.exp(-0.02)) < 1e-4
 
     def test_efficiency_ordering(self, dim31):
         rho = odd_cat(3.3, dim31)
         hi = run_sequence(rho, StroboParams(1.0, np.pi / 6, 0.1), steps=25)
         lo = run_sequence(rho, StroboParams(0.4, np.pi / 6, 0.1), steps=25)
-        for a, b in zip(hi.records, lo.records):
-            assert a.p_e >= b.p_e - 1e-12
+        assert np.all(hi.p_e >= lo.p_e - 1e-12)
 
     def test_probabilities_and_state_health(self, dim31):
         # spot-check trace and positivity along a run
@@ -555,9 +553,10 @@ class TestStroboProperties:
     @_PROPERTY
     @given(rho=field_states(), params=params_drawn, steps=st.integers(1, 6))
     def test_sequence_probabilities_sum_to_one(self, rho, params, steps):
-        for rec in run_sequence(rho, params, steps).records:
-            assert abs(rec.p_e + rec.p_g - 1.0) <= 1e-10
-            assert min(rec.p_e, rec.p_g) >= -1e-12
+        seq = run_sequence(rho, params, steps)
+        assert seq.p_e.shape == seq.p_g.shape == (steps,)
+        assert np.max(np.abs(seq.p_e + seq.p_g - 1.0)) <= 1e-10
+        assert min(seq.p_e.min(), seq.p_g.min()) >= -1e-12
 
 
 _STEP_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
@@ -597,8 +596,8 @@ class TestEvolveStrobo:
             assert np.max(np.abs(run.state.elements - oracle[steps])) <= 1e-12
             pops = np.real(np.diagonal(oracle[: steps + 1], axis1=1, axis2=2))
             assert np.max(np.abs(run.populations - pops)) <= 1e-12
-            for rec in run_sequence(rho, params, steps).records:
-                assert abs(rec.p_e + rec.p_g - 1.0) <= 1e-10
+            seq = run_sequence(rho, params, steps)
+            assert np.max(np.abs(seq.p_e + seq.p_g - 1.0)) <= 1e-10
 
     def test_check_density_sees_every_state_once(self, dim31, monkeypatch):
         rho = odd_cat(3.3, dim31)
@@ -639,9 +638,9 @@ class TestEvolveStrobo:
     def test_probabilities_are_the_dense_split_of_each_state(self, steps, dim31):
         rho = odd_cat(3.3, dim31)
         params = StroboParams(0.7, 0.5, 0.02)
-        record = run_sequence(rho, params, steps + 1).records[steps]
+        seq = run_sequence(rho, params, steps + 1)
         _, _, p_e, p_g = conditional_split(evolve_strobo(rho, params, steps).state)
-        assert (record.p_e, record.p_g) == (p_e, p_g)
+        assert (seq.p_e[steps], seq.p_g[steps]) == (p_e, p_g)
 
     def test_zero_steps_return_the_input(self, dim31):
         rho = odd_cat(3.3, dim31)
@@ -651,8 +650,24 @@ class TestEvolveStrobo:
         with pytest.raises(ValueError):
             evolve_strobo(rho, StroboParams(0.6, 0.9, 0.05), -1)
 
-    def test_records_hold_no_digest(self):
-        assert SequenceRecord._fields == ("step", "p_e", "p_g")
+    def test_sequence_arrays_are_read_only(self, dim31):
+        seq = run_sequence(odd_cat(3.3, dim31), StroboParams(0.6, 0.9, 0.05), 4)
+        for probs in seq:
+            with pytest.raises(ValueError):
+                probs[0] = 0.5
+
+    def test_probabilities_that_miss_one_are_a_numerical_fault(self, dim31, monkeypatch):
+        rho = odd_cat(3.3, dim31)
+        params = StroboParams(0.6, 0.9, 0.05)
+        real = strobo.evolve_strobo
+
+        def off_by_1e9(rho0, params, steps):
+            run = real(rho0, params, steps)
+            return run._replace(populations=run.populations * (1.0 + 1e-9))
+
+        monkeypatch.setattr(strobo, "evolve_strobo", off_by_1e9)
+        with pytest.raises(NumericalInvariantError, match="P_e \\+ P_g"):
+            run_sequence(rho, params, 4)
 
 
 class TestTruncation:

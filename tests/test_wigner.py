@@ -18,12 +18,25 @@ from cavityfeedback import (
     default_polar_grid,
     fock_superposition,
     fringe_visibility,
-    generalized_laguerre,
     parity_expectation,
     sqrt_diffusion_generator_wigner,
     wigner_function,
 )
 from conftest import random_density
+
+
+def generalized_laguerre(n: int, k: int, x):
+    """Associated Laguerre polynomial L_n^k(x) by the three-term recurrence."""
+    if n < 0 or k < 0:
+        raise ValueError("need n >= 0 and k >= 0")
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if n == 0:
+        return prev if prev.ndim else float(prev)
+    cur = k + 1.0 - x
+    for i in range(1, n):
+        prev, cur = cur, ((2.0 * i + k + 1.0 - x) * cur - (i + k) * prev) / (i + 1.0)
+    return cur if cur.ndim else float(cur)
 
 
 def wigner_brute(op, r, theta):
@@ -182,10 +195,52 @@ def transform_per_point(op, grid):
     return (2.0 / np.pi) * w.reshape(xg.shape)
 
 
-_RADIUS_GRIDS = {
+def transform_polar(op, grid):
+    """The polar transform with the radial recurrence on the r axis and outer products."""
+    coeffs = wigner._band_coefficients(op, grid.r)
+    w = np.zeros((grid.r.size, grid.theta.size))
+    for d, c in enumerate(coeffs):
+        if c is None:
+            continue
+        if d == 0:
+            w += c.real[:, None]
+        else:
+            w += 2.0 * (
+                np.outer(c.real, np.cos(d * grid.theta))
+                - np.outer(c.imag, np.sin(d * grid.theta))
+            )
+    return (2.0 / np.pi) * w
+
+
+def transform(op, grid):
+    """The library transform at every grid point.
+
+    (r, theta) are built as `wigner_function` builds them.
+    """
+    if isinstance(grid, CartesianGrid):
+        xg, yg = np.meshgrid(grid.x, grid.y, indexing="ij")
+        return wigner._transform_points(op, np.hypot(xg, yg), np.arctan2(yg, xg))
+    return wigner._transform_points(op, *np.meshgrid(grid.r, grid.theta, indexing="ij"))
+
+
+# each grid the tests and the acceptance report evaluate, with its oracle
+_CARTESIAN_GRIDS = {
     "symmetric-121": default_cartesian_grid(4.5, 121),
     "symmetric-120": default_cartesian_grid(4.5, 120),
     "off-centre": CartesianGrid(np.linspace(-3.9, 4.4, 90), np.linspace(-2.6, 3.1, 77)),
+}
+_POLAR_GRIDS = {
+    "r4": default_polar_grid(4.0),
+    "r6": default_polar_grid(6.0),
+    "r7-41x64": default_polar_grid(7.0, n_r=41, n_theta=64),
+    **{
+        f"nbar{nbar}-61x512": default_polar_grid(np.sqrt(nbar) + 3.0, n_r=61, n_theta=512)
+        for nbar in (4, 9, 16, 25)
+    },
+}
+_GRIDS = {
+    **{name: (grid, transform_per_point) for name, grid in _CARTESIAN_GRIDS.items()},
+    **{name: (grid, transform_polar) for name, grid in _POLAR_GRIDS.items()},
 }
 
 
@@ -199,24 +254,30 @@ def hermitian_trace_one(draw):
 
 
 class TestRadiiOnce:
-    """The recurrence on distinct radii gives bitwise the per-point values."""
+    """The one transform, on distinct radii and angles, is bitwise each grid kind's oracle."""
 
-    @pytest.mark.parametrize("grid_name", sorted(_RADIUS_GRIDS))
+    @pytest.mark.parametrize("grid_name", sorted(_GRIDS))
     @pytest.mark.parametrize("kind", ["cat-odd", "coherent"])
     def test_cli_default_states(self, kind, grid_name, dim63):
         if kind == "coherent":
             rho = DensityMatrix.from_state(coherent_state(np.sqrt(5.0), dim63))
         else:
             rho = DensityMatrix.from_state(cat_state(np.sqrt(5.0), CatParity.ODD, dim63))
-        grid = _RADIUS_GRIDS[grid_name]
-        expected = transform_per_point(np.asarray(rho.elements), grid)
-        assert np.array_equal(wigner_function(rho, grid).values, expected)
+        grid, oracle = _GRIDS[grid_name]
+        op = np.asarray(rho.elements)
+        # the coarser polar grids fail the cat's quadrature check, so they go
+        # through the transform alone
+        if isinstance(grid, CartesianGrid):
+            got = wigner_function(rho, grid).values
+        else:
+            got = transform(op, grid)
+        assert np.array_equal(got, oracle(op, grid))
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(op=hermitian_trace_one())
     def test_hermitian_operators(self, op):
-        for grid in _RADIUS_GRIDS.values():
-            assert np.array_equal(wigner._transform_cartesian(op, grid), transform_per_point(op, grid))
+        for grid, oracle in _GRIDS.values():
+            assert np.array_equal(transform(op, grid), oracle(op, grid))
 
 
 class TestSqrtDiffusionGenerator:
