@@ -59,12 +59,10 @@ from .fock import (
     trace_distance,
 )
 from .qubits import (
-    ProtectionReport,
     QubitSpec,
     approx_n_opt,
     min_fidelity,
     optimal_n,
-    protection_report,
     threshold_eta,
 )
 from .strobo import (

@@ -308,7 +308,7 @@ def adiabaticity_report(
     factor: float = 10.0,
 ) -> AdiabaticityReport:
     """Evaluate the timescale chain omega_max, g_max >> 1/t_cross >> n_bar gamma, gamma_e."""
-    if n_bar <= 0 or gamma <= 0 or gamma_e <= 0:
+    if not (n_bar > 0 and gamma > 0 and gamma_e > 0):  # NaN fails too
         raise ValueError("rates must be positive")
     rate = 1.0 / pulses.t_cross
     entries = (

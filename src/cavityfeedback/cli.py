@@ -3,9 +3,8 @@
 Each subcommand resolves its configuration from built-in defaults, an
 optional JSON config file and explicit command-line flags (flags win),
 runs the requested computation, and writes a CSV data file plus a JSON
-sidecar carrying the fully resolved config, the library version and the
+sidecar carrying the config as given, the library version and the
 pass/fail summary of the numerical self-checks executed during the run.
-
 Outputs are deterministic: no wall clock, no randomness, fixed float
 formatting.  Exit codes: 0 success, 2 config validation failure,
 3 numerical invariant failure, 4 truncation failure.
@@ -16,9 +15,11 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,79 +53,120 @@ from .qubits import QubitSpec, min_fidelity, optimal_n, threshold_eta
 from .strobo import StroboParams, analytic_stationary_state, evolve_strobo, p_ee_analytic, run_sequence
 from .wigner import default_cartesian_grid, fringe_visibility, wigner_function
 
-_FIG7_SETS = (
-    (np.pi / 6, 0.02),
-    (np.pi / 2, 0.02),
-    (np.pi / 2, 0.2),
-    (np.pi / 6, 0.2),
-    (0.0, 0.02),
-)
 
-_DEFAULTS = {
-    "fidelity-cat": {
-        "alpha2": 5.0,
-        "parity": "odd",
-        "eta": [0.0, 0.25, 0.5, 0.75, 1.0],
-        "gamma_t": 2.0,
-        "steps": 80,
-        "dim": 63,
-    },
-    "fidelity-fock": {
-        "n": 2,
-        "m": 4,
-        "alpha2": 1.0 / 3.0,
-        "eta": [0.0, 0.25, 0.5, 0.75, 1.0],
-        "gamma_t": 2.0,
-        "steps": 80,
-        "dim": 63,
-    },
-    "wigner": {
-        "state": {"kind": "cat-odd", "alpha2": 5.0},
-        "evolution": {"kind": "none"},
-        "grid_extent": 4.5,
-        "grid_points": 121,
-        "dim": 63,
-    },
-    "strobo-pe": {
-        "alpha2": 3.3,
-        "eta": 1.0,
-        "sets": [[float(mu), float(gt)] for mu, gt in _FIG7_SETS],
-        "gamma_t": 2.0,
-        "dim": 31,
-    },
-    "qubit-protect": {
-        "eta": 0.5,
-        "gamma_t": 2.0,
-        "steps": 80,
-    },
-    "adiabatic": {
-        "areas": [2.0, 20.0, 50.0, 100.0, 200.0],
-        "state": {"kind": "coherent", "alpha2": 3.3},
-        "steps": 4000,
-        "dim": 31,
-        "n_bar": 3.3,
-        "gamma": 0.005,
-        "gamma_e": 0.05,
-    },
+class _Spec(NamedTuple):
+    """The type and range of one config value: a number, an integer, a choice of `of`,
+    "numbers" (a non-empty list of `of`, or one number), "rows" (a non-empty list of rows,
+    one value per field of `of`; a flag sets the first field of every row) or a "section",
+    a mapping whose "kind", the first of `of` by default, picks the keys it may hold."""
+
+    type: str
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = False
+    of: object = None
+
+
+class _Key(NamedTuple):
+    spec: _Spec
+    default: object = None  # None: required; a _Missing: worked out by the command
+    flag: bool = False  # set by the flag of the key's own name
+
+
+class _Missing(str):
+    """The default of a key the command works out, named as the README shows it."""
+
+
+def _range(spec) -> str:
+    """Range text such as '> 0' or 'in [0, 1)'; empty for any finite number."""
+    if spec.type == "choice":
+        *first, last = map(repr, spec.of)
+        return f"{', '.join(first)} or {last}"
+    lo, hi = (f"{x:g}" if isinstance(x, float) else str(x) for x in (spec.lo, spec.hi))
+    if spec.hi == math.inf:
+        return "" if spec.lo == -math.inf else f"{'>' if spec.lo_open else '>='} {lo}"
+    return f"in {'(' if spec.lo_open else '['}{lo}, {hi}{')' if spec.hi_open else ']'}"
+
+
+def _value(spec, key, val):
+    """`val` typed and in range; anything else raises ConfigError naming `key`."""
+    if spec.type == "choice":
+        if not isinstance(val, str) or val not in spec.of:
+            raise ConfigError(key, f"must be {_range(spec)}")
+        return val
+    if spec.type == "section":
+        if not isinstance(val, dict):
+            raise ConfigError(key, "must be a mapping with a 'kind'")
+        val = dict(val)
+        kind = val.pop("kind", next(iter(spec.of)))
+        kind = _value(_Spec("choice", of=tuple(spec.of)), f"{key}.kind", kind)
+        return {"kind": kind, **_keys(spec.of[kind], val, f"{key}.", f"for {key} kind {kind!r}")}
+    if spec.type == "rows":
+        if not (isinstance(val, list) and val and all(isinstance(r, list) and len(r) == len(spec.of)
+                                                      for r in val)):
+            raise ConfigError(key, f"need a non-empty list of [{', '.join(spec.of)}]")
+        return [[_value(k.spec, key, v) for k, v in zip(spec.of.values(), row)] for row in val]
+    if spec.type == "numbers":
+        val = val if isinstance(val, list) else [val]
+        if not val:
+            raise ConfigError(key, "need a non-empty list of numbers")
+        return [_value(spec.of, key, v) for v in val]
+    integer = spec.type == "integer"
+    if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
+        raise ConfigError(key, f"expected {'an integer' if integer else 'a number'}, got {val!r}")
+    x = val if integer else float(val) if abs(val) < 2**1024 else math.inf  # float() would overflow
+    above = x > spec.lo if spec.lo_open else x >= spec.lo
+    below = x < spec.hi if spec.hi_open else x <= spec.hi
+    if not (above and below and (integer or math.isfinite(x))):
+        what = "an integer" if integer else "a finite number"
+        raise ConfigError(key, f"must be {what} {_range(spec)}".rstrip() + f", got {val!r}")
+    return x
+
+
+def _keys(table, cfg, prefix, where) -> dict:
+    """The typed value of every key of `table`; a key of `cfg` not in it is an error."""
+    for name in cfg:
+        if name not in table:
+            raise ConfigError(prefix + name, f"not read {where}")
+    typed = {}
+    for name, k in table.items():  # a required key's default None fails its own check
+        missing = name not in cfg and isinstance(k.default, _Missing)
+        typed[name] = None if missing else _value(k.spec, prefix + name, cfg.get(name, k.default))
+    return typed
+
+
+# size bounds keep one run finite in time and memory
+_MAX_DIM, _MAX_STEPS, _MAX_PERIODS = 127, 1000, 100_000
+_UNIT, _NON_NEGATIVE = _Spec("number", 0.0, 1.0), _Spec("number", 0.0)
+_POSITIVE, _DIM = _Spec("number", 0.0, lo_open=True), _Spec("integer", 1, _MAX_DIM)
+_CURVE = {
+    "eta": _Key(_Spec("numbers", of=_UNIT), [0.0, 0.25, 0.5, 0.75, 1.0], True),
+    "gamma_t": _Key(_NON_NEGATIVE, 2.0, True),
+    "steps": _Key(_Spec("integer", 1, _MAX_STEPS), 80, True),
+    "dim": _Key(_DIM, 63, True),
 }
-
-
-def _number(key, val) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(key, f"expected a number, got {val!r}")
-    return float(val)
-
-
-def _integer(key, val) -> int:
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(key, f"expected an integer, got {val!r}")
-    return val
-
-
-def _require(cfg, key, kind, command):
-    if key not in cfg:
-        raise ConfigError(key, f"missing for {command}")
-    return (_number if kind is float else _integer)(key, cfg[key])
+_CAT = {"alpha2": _Key(_POSITIVE, 5.0, True)}
+_TERMS = {"n": _Key(_Spec("integer", 0)), "re": _Key(_Spec("number")), "im": _Key(_Spec("number"))}
+_STATE = _Spec("section", of={
+    "cat-odd": _CAT,
+    "cat-even": _CAT,
+    "coherent": {"alpha2": _Key(_NON_NEGATIVE, 5.0, True)},
+    "vacuum": {},
+    "fock": {"terms": _Key(_Spec("rows", of=_TERMS))},
+})
+_EVOLUTION = _Spec("section", of={
+    "none": {},
+    "continuous": {"eta": _Key(_UNIT, 1.0, True), "gamma_t": _Key(_NON_NEGATIVE, 0.0, True)},
+    "strobo": {
+        "eta": _Key(_UNIT, 1.0, True),
+        "mu": _Key(_NON_NEGATIVE, np.pi / 6, True),
+        "gamma_t_step": _Key(_NON_NEGATIVE, 0.02),
+        "steps": _Key(_Spec("integer", 0, _MAX_PERIODS), 0, True),
+    },
+})
+_SETS = _Spec("rows", of={"mu": _Key(_NON_NEGATIVE, flag=True), "gamma_T": _Key(_POSITIVE)})
+_PHOTONS = _Spec("integer", 0, 10**6)
 
 
 def _check(name, value, tolerance):
@@ -136,57 +178,30 @@ def _check(name, value, tolerance):
     }
 
 
-def _build_state(cfg_state, dim: FockDim) -> DensityMatrix:
-    kind = cfg_state.get("kind", "cat-odd")
+def _build_state(state, dim: FockDim) -> DensityMatrix:
+    kind = state["kind"]
     if kind == "vacuum":
         return DensityMatrix.from_state(fock_superposition([(0, 1.0)], dim))
-    if kind in ("cat-odd", "cat-even"):
-        alpha2 = _number("state.alpha2", cfg_state.get("alpha2", 5.0))
-        if not alpha2 > 0:
-            raise ConfigError("state.alpha2", "must be positive for a cat state")
-        parity = CatParity.ODD if kind == "cat-odd" else CatParity.EVEN
-        return DensityMatrix.from_state(cat_state(np.sqrt(alpha2), parity, dim))
-    if kind == "coherent":
-        alpha2 = _number("state.alpha2", cfg_state.get("alpha2", 5.0))
-        if not alpha2 >= 0:
-            raise ConfigError("state.alpha2", "must be >= 0 for a coherent state")
-        return DensityMatrix.from_state(coherent_state(np.sqrt(alpha2), dim))
     if kind == "fock":
-        terms = cfg_state.get("terms")
-        if not terms or not all(isinstance(t, list) and len(t) == 3 for t in terms):
-            raise ConfigError("state.terms", "fock state needs [[n, re, im], ...]")
-        pairs = []
-        for n, re, im in terms:
-            if not 0 <= _integer("state.terms", n) <= dim.n_max:
+        for n, _, _ in state["terms"]:
+            if n > dim.n_max:
                 raise ConfigError("state.terms", f"Fock index {n} outside [0, {dim.n_max}]")
-            pairs.append((n, complex(_number("state.terms", re), _number("state.terms", im))))
-        return DensityMatrix.from_state(fock_superposition(pairs, dim))
-    raise ConfigError("state.kind", f"unknown state kind {kind!r}")
-
-
-def _eta_list(cfg, command):
-    etas = cfg["eta"]
-    if not isinstance(etas, list):
-        etas = [etas]
-    etas = [_number("eta", e) for e in etas]
-    for e in etas:
-        if not 0.0 <= e <= 1.0:
-            raise ConfigError("eta", f"value {e} outside [0, 1]")
-    if not etas:
-        raise ConfigError("eta", f"empty list for {command}")
-    return etas
+        try:
+            vec = fock_superposition([(n, complex(re, im)) for n, re, im in state["terms"]], dim)
+        except ValueError as exc:
+            raise ConfigError("state.terms", str(exc)) from None
+        return DensityMatrix.from_state(vec)
+    alpha = np.sqrt(state["alpha2"])
+    if kind == "coherent":
+        return DensityMatrix.from_state(coherent_state(alpha, dim))
+    parity = CatParity.ODD if kind == "cat-odd" else CatParity.EVEN
+    return DensityMatrix.from_state(cat_state(alpha, parity, dim))
 
 
 def _time_grid(cfg):
-    gt_max = _require(cfg, "gamma_t", float, "curve command")
-    if gt_max < 0:
-        raise ConfigError("gamma_t", "must be >= 0")
-    steps = _require(cfg, "steps", int, "curve command")
-    if steps < 1:
-        raise ConfigError("steps", "must be >= 1")
-    if gt_max == 0.0:
+    if cfg["gamma_t"] == 0.0:
         return np.zeros(1)
-    return np.linspace(0.0, gt_max, steps + 1)
+    return np.linspace(0.0, cfg["gamma_t"], cfg["steps"] + 1)
 
 
 def cmd_fidelity_cat(cfg):
@@ -196,16 +211,10 @@ def cmd_fidelity_cat(cfg):
     band core raises NumericalInvariantError at a trace drift above 1e-10,
     so a run that reaches the check always passes its 1e-9 tolerance.
     """
-    alpha2 = _require(cfg, "alpha2", float, "fidelity-cat")
-    if alpha2 <= 0:
-        raise ConfigError("alpha2", "must be positive")
-    parity = cfg.get("parity")
-    if not isinstance(parity, str) or parity not in ("odd", "even"):
-        raise ConfigError("parity", "must be 'odd' or 'even'")
-    parity = CatParity.ODD if parity == "odd" else CatParity.EVEN
-    etas = _eta_list(cfg, "fidelity-cat")
+    alpha2, etas = cfg["alpha2"], cfg["eta"]
+    parity = CatParity.ODD if cfg["parity"] == "odd" else CatParity.EVEN
     times = _time_grid(cfg)
-    dim = FockDim(_require(cfg, "dim", int, "fidelity-cat"))
+    dim = FockDim(cfg["dim"])
 
     rho0 = DensityMatrix.from_state(cat_state(np.sqrt(alpha2), parity, dim))
     columns = {}
@@ -227,16 +236,11 @@ def cmd_fidelity_cat(cfg):
 
 
 def cmd_fidelity_fock(cfg):
-    n = _require(cfg, "n", int, "fidelity-fock")
-    m = _require(cfg, "m", int, "fidelity-fock")
-    if not 0 <= n < m:
+    n, m, alpha2 = cfg["n"], cfg["m"], cfg["alpha2"]
+    if not n < m:
         raise ConfigError("n", "need 0 <= n < m")
-    alpha2 = _require(cfg, "alpha2", float, "fidelity-fock")
-    if not 0.0 < alpha2 < 1.0:
-        raise ConfigError("alpha2", "weight of |n> must lie strictly in (0, 1)")
-    etas = _eta_list(cfg, "fidelity-fock")
     times = _time_grid(cfg)
-    dim = FockDim(_require(cfg, "dim", int, "fidelity-fock"))
+    dim = FockDim(cfg["dim"])
     if m > dim.n_max:
         raise ConfigError("m", f"exceeds dim = {dim.n_max}")
 
@@ -245,7 +249,7 @@ def cmd_fidelity_fock(cfg):
     rho0 = DensityMatrix.from_state(state)
     header, columns = ["gamma_t"], [times]
     worst_dev = 0.0
-    for eta in etas:
+    for eta in cfg["eta"]:
         params = ContinuousParams(1.0, eta)
         numeric = fidelity_curve(rho0, params, times).fidelity
         analytic = [fock_fidelity_analytic(alpha2, beta2, n, m, params, t) for t in times]
@@ -257,42 +261,17 @@ def cmd_fidelity_fock(cfg):
 
 
 def cmd_wigner(cfg):
-    dim = FockDim(_require(cfg, "dim", int, "wigner"))
-    state_cfg = cfg.get("state")
-    if not isinstance(state_cfg, dict):
-        raise ConfigError("state", "must be a mapping with a 'kind'")
-    rho = _build_state(state_cfg, dim)
+    dim = FockDim(cfg["dim"])
+    rho = _build_state(cfg["state"], dim)
+    evo = cfg["evolution"]
+    if evo["kind"] == "continuous":
+        rho = evolve_continuous(rho, ContinuousParams(1.0, evo["eta"]), evo["gamma_t"])
+    elif evo["kind"] == "strobo":
+        params = StroboParams(evo["eta"], evo["mu"], evo["gamma_t_step"])
+        rho = evolve_strobo(rho, params, evo["steps"]).state
 
-    evo = cfg.get("evolution", {"kind": "none"})
-    if not isinstance(evo, dict):
-        raise ConfigError("evolution", "must be a mapping with a 'kind'")
-    kind = evo.get("kind", "none")
-    if kind == "continuous":
-        eta = _number("evolution.eta", evo.get("eta", 1.0))
-        gt = _number("evolution.gamma_t", evo.get("gamma_t", 0.0))
-        if not 0.0 <= gt < np.inf:
-            raise ConfigError("evolution.gamma_t", f"must be a finite number >= 0, got {gt!r}")
-        rho = evolve_continuous(rho, ContinuousParams(1.0, eta), gt)
-    elif kind == "strobo":
-        params = StroboParams(
-            _number("evolution.eta", evo.get("eta", 1.0)),
-            _number("evolution.mu", evo.get("mu", np.pi / 6)),
-            _number("evolution.gamma_t_step", evo.get("gamma_t_step", 0.02)),
-        )
-        steps = _integer("evolution.steps", evo.get("steps", 0))
-        if steps < 0:
-            raise ConfigError("evolution.steps", "must be >= 0")
-        rho = evolve_strobo(rho, params, steps).state
-    elif kind != "none":
-        raise ConfigError("evolution.kind", f"unknown evolution kind {kind!r}")
-
-    extent = _require(cfg, "grid_extent", float, "wigner")
-    points = _require(cfg, "grid_points", int, "wigner")
-    if extent <= 0:
-        raise ConfigError("grid_extent", "must be positive")
-    if points < 2:
-        raise ConfigError("grid_points", "must be >= 2")
-    wg = wigner_function(rho, default_cartesian_grid(extent, points))
+    points = cfg["grid_points"]
+    wg = wigner_function(rho, default_cartesian_grid(cfg["grid_extent"], points))
 
     checks = [_check("quadrature_normalisation", wg.integral - 1.0, 1e-3)]
     extras = {
@@ -318,32 +297,18 @@ def cmd_wigner(cfg):
 
 
 def cmd_strobo_pe(cfg):
-    alpha2 = _require(cfg, "alpha2", float, "strobo-pe")
-    if alpha2 <= 0:
-        raise ConfigError("alpha2", "must be positive")
-    eta = _require(cfg, "eta", float, "strobo-pe")
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError("eta", "must lie in [0, 1]")
-    sets = cfg.get("sets")
-    if not isinstance(sets, list) or not sets:
-        raise ConfigError("sets", "need a non-empty list of [mu, gamma_T] pairs")
-    gt_max = _require(cfg, "gamma_t", float, "strobo-pe")
-    if gt_max <= 0:
-        raise ConfigError("gamma_t", "must be positive")
-    dim = FockDim(_require(cfg, "dim", int, "strobo-pe"))
+    alpha2, gt_max = cfg["alpha2"], cfg["gamma_t"]
+    periods = max(gt_max / gamma_T for _, gamma_T in cfg["sets"])
+    if not periods < _MAX_PERIODS:
+        raise ConfigError("gamma_t", f"gamma_t / gamma_T is {periods:g} in a set, not below {_MAX_PERIODS}")
+    dim = FockDim(cfg["dim"])
 
     rho0 = DensityMatrix.from_state(cat_state(np.sqrt(alpha2), CatParity.ODD, dim))
     runs = []
     stationary = []
     worst_nofb = None
-    for entry in sets:
-        try:
-            mu, gamma_T = float(entry[0]), float(entry[1])
-        except (TypeError, ValueError, IndexError):
-            raise ConfigError("sets", f"bad entry {entry!r}")
-        if gamma_T <= 0:
-            raise ConfigError("sets", "gamma_T must be positive")
-        params = StroboParams(eta, mu, gamma_T)
+    for mu, gamma_T in cfg["sets"]:
+        params = StroboParams(cfg["eta"], mu, gamma_T)
         steps = int(round(gt_max / gamma_T)) + 1
         seq = run_sequence(rho0, params, steps)
         runs.append((mu, gamma_T, seq))
@@ -382,15 +347,13 @@ def cmd_strobo_pe(cfg):
 
 
 def cmd_qubit_protect(cfg):
-    eta = _require(cfg, "eta", float, "qubit-protect")
-    if not 0.0 <= eta < 1.0:
-        raise ConfigError("eta", "must lie in [0, 1)")
+    eta = cfg["eta"]
     times = _time_grid(cfg)
     n_opt = optimal_n(eta)
-    n = _integer("n", cfg.get("n", n_opt))
-    m = _integer("m", cfg.get("m", n_opt + 1))
-    if n < 0 or m < 0 or n == m:
-        raise ConfigError("n", "need distinct non-negative integers n, m")
+    n = n_opt if cfg["n"] is None else cfg["n"]
+    m = n_opt + 1 if cfg["m"] is None else cfg["m"]
+    if n == m:
+        raise ConfigError("n", "n and m must differ")
     spec = QubitSpec(n, m)
     curve = [min_fidelity(spec, eta, t) for t in times]
     table_etas = [round(0.01 * k, 2) for k in range(100)]
@@ -412,34 +375,22 @@ def cmd_qubit_protect(cfg):
 
 
 def cmd_adiabatic(cfg):
-    areas = cfg.get("areas")
-    if not isinstance(areas, list) or not areas:
-        raise ConfigError("areas", "need a non-empty list of pulse areas")
-    areas = [_number("areas", a) for a in areas]
-    if any(a <= 0 for a in areas):
-        raise ConfigError("areas", "pulse areas must be positive")
-    steps = _require(cfg, "steps", int, "adiabatic")
-    if steps < 2:
-        raise ConfigError("steps", "must be >= 2")
-    dim = FockDim(_require(cfg, "dim", int, "adiabatic"))
-    state_cfg = cfg.get("state")
-    if not isinstance(state_cfg, dict):
-        raise ConfigError("state", "must be a mapping with a 'kind'")
-    rho = _build_state(state_cfg, dim)
+    areas = cfg["areas"]
+    dim = FockDim(cfg["dim"])
+    rho = _build_state(cfg["state"], dim)
 
     rows = []
     for area in areas:
         pulses = standard_pulses(area, area, 1.0)
-        _, fid, peak = integrate_crossing(rho, pulses, steps)
+        _, fid, peak = integrate_crossing(rho, pulses, cfg["steps"])
         rows.append([area, fid, peak])
     rows = np.array(rows)
     worst_range = max(-rows[:, 1:].min(), rows[:, 1:].max() - 1.0)
     checks = [_check("fidelities_and_populations_in_range", max(worst_range, 0.0), 1e-9)]
 
-    n_bar = _require(cfg, "n_bar", float, "adiabatic")
-    gamma = _require(cfg, "gamma", float, "adiabatic")
-    gamma_e = _require(cfg, "gamma_e", float, "adiabatic")
-    report = adiabaticity_report(standard_pulses(max(areas), max(areas), 1.0), n_bar, gamma, gamma_e)
+    report = adiabaticity_report(
+        standard_pulses(max(areas), max(areas), 1.0), cfg["n_bar"], cfg["gamma"], cfg["gamma_e"]
+    )
     extras = {
         "timescale_report": [
             {"name": c.name, "ratio": c.ratio, "factor": c.factor, "status": c.status}
@@ -450,25 +401,52 @@ def cmd_adiabatic(cfg):
     return header, rows, checks, extras
 
 
-# each command and the flags it reads besides --config and --out; a flag is
-# named by the config key it sets, and "sets.mu" sets the mu of every set
+# each command's function and the table of every config key it reads
 _COMMANDS = {
-    "fidelity-cat": (cmd_fidelity_cat, ("alpha2", "eta", "gamma_t", "steps", "dim")),
-    "fidelity-fock": (cmd_fidelity_fock, ("alpha2", "eta", "gamma_t", "steps", "dim")),
-    "wigner": (cmd_wigner, (
-        "state.alpha2", "evolution.eta", "evolution.mu", "evolution.gamma_t", "evolution.steps",
-        "dim", "grid_extent", "grid_points",
-    )),
-    "strobo-pe": (cmd_strobo_pe, ("alpha2", "eta", "sets.mu", "gamma_t", "dim")),
-    "qubit-protect": (cmd_qubit_protect, ("eta", "gamma_t", "steps")),
-    "adiabatic": (cmd_adiabatic, ("state.alpha2", "steps", "dim")),
+    "fidelity-cat": (cmd_fidelity_cat, {
+        "alpha2": _Key(_POSITIVE, 5.0, True),
+        "parity": _Key(_Spec("choice", of=("odd", "even")), "odd"),
+        **_CURVE,
+    }),
+    "fidelity-fock": (cmd_fidelity_fock, {
+        "n": _Key(_Spec("integer", 0), 2),
+        "m": _Key(_Spec("integer", 1), 4),
+        "alpha2": _Key(_Spec("number", 0.0, 1.0, True, True), 1.0 / 3.0, True),
+        **_CURVE,
+    }),
+    "wigner": (cmd_wigner, {
+        "state": _Key(_STATE, {"kind": "cat-odd", "alpha2": 5.0}),
+        "evolution": _Key(_EVOLUTION, {"kind": "none"}),
+        "dim": _Key(_DIM, 63, True),
+        # |beta| of a state on 128 levels stays below 12
+        "grid_extent": _Key(_Spec("number", 0.0, 100.0, lo_open=True), 4.5, True),
+        "grid_points": _Key(_Spec("integer", 2, 501), 121, True),
+    }),
+    "strobo-pe": (cmd_strobo_pe, {
+        "alpha2": _Key(_POSITIVE, 3.3, True),
+        "eta": _Key(_UNIT, 1.0, True),
+        # the five (mu, gamma_T) sets of Fig. 7; --mu sets every mu
+        "sets": _Key(_SETS, [[np.pi / 6, 0.02], [np.pi / 2, 0.02], [np.pi / 2, 0.2], [np.pi / 6, 0.2],
+                             [0.0, 0.02]]),
+        "gamma_t": _Key(_POSITIVE, 2.0, True),
+        "dim": _Key(_DIM, 31, True),
+    }),
+    "qubit-protect": (cmd_qubit_protect, {
+        "eta": _Key(_Spec("number", 0.0, 1.0, hi_open=True), 0.5, True),
+        **{key: _CURVE[key] for key in ("gamma_t", "steps")},
+        "n": _Key(_PHOTONS, _Missing("n_opt")),
+        "m": _Key(_PHOTONS, _Missing("n_opt + 1")),
+    }),
+    "adiabatic": (cmd_adiabatic, {
+        "areas": _Key(_Spec("numbers", of=_POSITIVE), [2.0, 20.0, 50.0, 100.0, 200.0]),
+        "state": _Key(_STATE, {"kind": "coherent", "alpha2": 3.3}),
+        "steps": _Key(_Spec("integer", 2, _MAX_PERIODS), 4000, True),
+        "dim": _Key(_DIM, 31, True),
+        "n_bar": _Key(_POSITIVE, 3.3),
+        "gamma": _Key(_POSITIVE, 0.005),
+        "gamma_e": _Key(_POSITIVE, 0.05),
+    }),
 }
-_FLAG_TYPES = {"eta": str, "steps": int, "dim": int, "grid_points": int}  # the rest are floats
-_FLAG_HELP = {
-    "eta": "one value, or a comma list on fidelity-cat and fidelity-fock",
-    "dim": "Fock cutoff n_max",
-}
-_ETA_LISTS = ("fidelity-cat", "fidelity-fock")
 
 
 def _csv_text(header, rows) -> str:
@@ -490,8 +468,8 @@ def _csv_text(header, rows) -> str:
 
 
 def _write_outputs(out_path: Path, command: str, cfg: dict, header, rows, checks, extras):
-    out_path.write_text(_csv_text(header, rows), encoding="utf-8", newline="\n")
-
+    """Write the CSV and its strict-JSON sidecar; a NaN or infinity in either writes neither."""
+    csv_text = _csv_text(header, rows)
     sidecar = {
         "command": command,
         "config": cfg,
@@ -500,25 +478,29 @@ def _write_outputs(out_path: Path, command: str, cfg: dict, header, rows, checks
         "all_invariants_passed": all(c["passed"] for c in checks),
         "extras": extras,
     }
-    sidecar_path = out_path.with_suffix(".json")
-    sidecar_path.write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    try:
+        sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalInvariantError(f"non-finite value in the sidecar: {exc}") from None
+    out_path.write_text(csv_text, encoding="utf-8", newline="\n")
+    out_path.with_suffix(".json").write_text(sidecar_text, encoding="utf-8", newline="\n")
     return sidecar
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}")
     if not isinstance(obj, dict):
         raise ConfigError("config", "top level must be an object")
     # a previous run's sidecar is itself a valid config carrier
     if "config" in obj and "command" in obj:
+        if obj["command"] != command:
+            raise ConfigError("config", f"{path} is a sidecar of {obj['command']!r}, not of {command!r}")
         inner = obj["config"]
         if not isinstance(inner, dict):
             raise ConfigError("config", "sidecar 'config' must be an object")
@@ -526,56 +508,71 @@ def _load_config_file(path: str) -> dict:
     return obj
 
 
+def _flags(command) -> dict:
+    """Flag name -> (dotted config key, spec) of every flag in the command's table."""
+    flags = {}
+    for key, k in _COMMANDS[command][1].items():
+        groups = {"section": k.spec.of, "rows": {"": k.spec.of}}.get(k.spec.type, {})  # of nested keys
+        nested = [(f"{key}.{name}", sub) for keys in groups.values() for name, sub in keys.items()]
+        for dotted, entry in [(key, k), *nested]:
+            if entry.flag:
+                flags.setdefault(dotted.rpartition(".")[2], (dotted, entry.spec))
+    return flags
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use.
 
-    Each subcommand accepts only the flags of `_COMMANDS`.  Every build leaves
-    argparse reference cycles to the cyclic collector, so a parser built per
-    `main` call grows the heap with the number of calls.
+    Each subcommand accepts only the flags of its table.  A flag's text is
+    read by `_resolve`, so a malformed value is a config error naming the
+    flag.  Every build leaves argparse reference cycles to the cyclic
+    collector, so a parser built per `main` call grows the heap with the
+    number of calls.
     """
     parser = argparse.ArgumentParser(
         prog="cavityfb",
         description="Cavity state protection: figure-reproduction data runs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, keys) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        for flag in (key.rpartition(".")[2] for key in keys):
-            p.add_argument(
-                "--" + flag.replace("_", "-"),
-                dest=flag,
-                type=_FLAG_TYPES.get(flag, float),
-                help=_FLAG_HELP.get(flag),
-            )
+    for command in _COMMANDS:
+        p = sub.add_parser(command)
+        for flag, (dotted, spec) in _flags(command).items():
+            doc = f"{dotted}: {spec.type} {_range(spec)}"
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, help=doc)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, required=True, help="output CSV path")
     return parser
 
 
 def _resolve(command: str, args) -> dict:
-    cfg = json.loads(json.dumps(_DEFAULTS[command]))  # deep copy of the defaults
+    """The run's config as given, defaults < --config file < flags, not yet checked."""
+    table = _COMMANDS[command][1]
+    defaults = {key: k.default for key, k in table.items() if not isinstance(k.default, _Missing)}
+    cfg = json.loads(json.dumps(defaults))  # a deep copy
     if args.config:
-        cfg.update(_load_config_file(args.config))
-    for key in _COMMANDS[command][1]:
-        section, _, flag = key.rpartition(".")
-        val = getattr(args, flag)
-        if val is None:
+        cfg.update(_load_config_file(args.config, command))
+    for flag, (dotted, spec) in _flags(command).items():
+        text = getattr(args, flag)
+        if text is None:
             continue
-        if flag == "eta":
-            val = [float(v) for v in val.split(",") if v.strip() != ""]
-            if not val:
-                raise ConfigError("eta", "empty value")
-            if command not in _ETA_LISTS:
-                if len(val) > 1:
-                    raise ConfigError("eta", f"{command} takes a single value, got {args.eta!r}")
-                val = val[0]
-        if section == "sets":
-            cfg["sets"] = [[val, gt] for _, gt in cfg["sets"]]
-        elif section:
-            cfg.setdefault(section, {})[flag] = val
-        else:
-            cfg[flag] = val
+        if "," in text and spec.type != "numbers":
+            raise ConfigError(flag, f"{command} takes a single value, got {text!r}")
+        what = "an integer" if spec.type == "integer" else "a number"
+        try:
+            value = [float(v) for v in text.split(",") if v.strip()] if spec.type == "numbers" else (
+                int(text) if spec.type == "integer" else float(text))
+        except ValueError:
+            raise ConfigError(flag, f"expected {what}, got {text!r}") from None
+        # a section or rows of the wrong shape are left for `_keys` to report
+        key, _, name = dotted.partition(".")
+        kind, held = table[key].spec.type, cfg[key]
+        if not name:
+            cfg[key] = value
+        elif kind == "section" and isinstance(held, dict):
+            held[name] = value
+        elif kind == "rows" and isinstance(held, list):
+            cfg[key] = [[value, *r[1:]] if isinstance(r, list) else r for r in held]
     return cfg
 
 
@@ -605,11 +602,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _resolve(args.command, args)
+        run, table = _COMMANDS[args.command]
+        values = _keys(table, cfg, "", f"by {args.command}")
         out_path = Path(args.out)
         if out_path.suffix != ".csv":
             raise ConfigError("out", "output path must end in .csv")
         with _thread_cap():
-            header, rows, checks, extras = _COMMANDS[args.command][0](cfg)
+            header, rows, checks, extras = run(values)
         sidecar = _write_outputs(out_path, args.command, cfg, header, rows, checks, extras)
         if not sidecar["all_invariants_passed"]:
             failed = [c["name"] for c in checks if not c["passed"]]

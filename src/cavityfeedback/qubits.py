@@ -33,20 +33,6 @@ class QubitSpec:
             raise ValueError("need m != n")
 
 
-@dataclass(frozen=True)
-class ProtectionReport:
-    """Optimal photon number, worst-case fidelity curve and the efficiency threshold."""
-
-    n_opt: int
-    f_min_curve: tuple
-    threshold_eta: float
-
-    def __post_init__(self):
-        for _, f in self.f_min_curve:
-            if not -1e-12 <= f <= 1.0 + 1e-12:
-                raise ValueError(f"F_min value {f} outside [0, 1]")
-
-
 def min_fidelity(spec: QubitSpec, eta: float, gamma_t: float) -> float:
     """Worst-case fidelity over all input qubits with photon numbers (n, m)."""
     if not 0.0 <= eta <= 1.0:
@@ -109,12 +95,4 @@ def threshold_eta(tol: float = 1e-12) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def protection_report(eta: float, gamma_ts) -> ProtectionReport:
-    """Bundle n_opt, the worst-case fidelity curve at n_opt and the threshold."""
-    n_opt = optimal_n(eta)
-    spec = QubitSpec(n_opt, n_opt + 1)
-    curve = tuple((float(gt), min_fidelity(spec, eta, float(gt))) for gt in gamma_ts)
-    return ProtectionReport(n_opt, curve, threshold_eta())
 

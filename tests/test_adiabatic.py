@@ -269,3 +269,9 @@ class TestAdiabaticityReport:
         assert by_name["g_max vs crossing rate"].ratio == 10.0
         assert by_name["g_max vs crossing rate"].status == "marginal"
         assert not report.passed
+
+    @pytest.mark.parametrize("rates", [(np.nan, 0.001, 0.01), (3.3, np.nan, 0.01), (3.3, 0.001, np.nan)])
+    def test_nan_rate_raises(self, rates):
+        pulses = standard_pulses(100.0, 100.0, 1.0)
+        with pytest.raises(ValueError, match="rates must be positive"):
+            adiabaticity_report(pulses, *rates)

@@ -1,5 +1,10 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -239,27 +244,44 @@ class TestDeterminismAndEcho:
         assert s1 == s2
 
     @pytest.mark.parametrize(
-        "args",
+        "args, cfg",
         [
-            ["fidelity-cat", "--eta", "0,0.5", "--steps", 4, "--dim", 31],
-            ["fidelity-fock", "--alpha2", 0.4, "--eta", "0.5", "--steps", 4],
-            ["wigner", "--alpha2", 2, "--eta", 0.5, "--gamma-t", 0.1, "--grid-points", 41, "--dim", 31],
-            ["strobo-pe", "--gamma-t", 0.4],
-            ["qubit-protect", "--eta", 0.6, "--steps", 10],
-            ["adiabatic", "--alpha2", 2, "--steps", 1500, "--dim", 21],
+            (["fidelity-cat", "--eta", "0,0.5", "--steps", 4, "--dim", 31], None),
+            (["fidelity-fock", "--alpha2", 0.4, "--eta", "0.5", "--steps", 4], None),
+            (
+                ["wigner", "--alpha2", 2, "--eta", 0.5, "--gamma-t", 0.1, "--grid-points", 41, "--dim", 31],
+                {"evolution": {"kind": "continuous"}},
+            ),
+            (
+                ["wigner", "--alpha2", 2, "--eta", 0.5, "--mu", 0.8, "--steps", 5, "--grid-points", 41, "--dim", 31],
+                {"evolution": {"kind": "strobo"}},
+            ),
+            (["strobo-pe", "--gamma-t", 0.4], None),
+            (["qubit-protect", "--eta", 0.6, "--steps", 10], None),
+            # one pulse area keeps the run short
+            (["adiabatic", "--alpha2", 2, "--steps", 1500, "--dim", 21], {"areas": [20.0]}),
         ],
-        ids=lambda args: args[0],
+        ids=["fidelity-cat", "fidelity-fock", "wigner", "wigner-strobo", "strobo-pe", "qubit-protect", "adiabatic"],
     )
-    def test_sidecar_echo_reproduces_run(self, args, tmp_path):
+    def test_sidecar_echo_reproduces_run(self, args, cfg, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        if args[0] == "adiabatic":  # one pulse area keeps the run short
-            (tmp_path / "cfg.json").write_text(json.dumps({"areas": [20.0]}))
+        if cfg is not None:  # the flags then write into this config
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
             args = args + ["--config", tmp_path / "cfg.json"]
         assert run_cli(args + ["--out", out1]) == 0
         # feed the sidecar back in as the config file
         assert run_cli([args[0], "--config", out1.with_suffix(".json"), "--out", out2]) == 0
         for suffix in (".csv", ".json"):
             assert out1.with_suffix(suffix).read_bytes() == out2.with_suffix(suffix).read_bytes()
+
+    def test_sidecar_of_another_command_exits_2(self, tmp_path, capsys):
+        # a fidelity-fock sidecar once ran fidelity-cat at the Fock weight
+        assert run_cli(["fidelity-fock", "--steps", 3, "--out", tmp_path / "fock.csv"]) == 0
+        capsys.readouterr()
+        args = ["fidelity-cat", "--config", tmp_path / "fock.json", "--out", tmp_path / "cat.csv"]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("config error: config: ")
+        assert not (tmp_path / "cat.csv").exists()
 
 
 class TestFailureClasses:
@@ -486,6 +508,14 @@ class TestCsvWriter:
         assert "numerical failure: non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_sidecar_value_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the sidecar is strict JSON: a NaN in it writes neither file
+        monkeypatch.setattr(cli, "fringe_visibility", lambda wg: float("nan"))
+        out = tmp_path / "w.csv"
+        assert run_cli(["wigner", "--grid-points", 41, "--dim", 31, "--alpha2", 2, "--out", out]) == 3
+        assert "numerical failure: non-finite value in the sidecar" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
 
 # the flags each command reads, as the README lists them
 _ACCEPTED = {
@@ -559,3 +589,234 @@ class TestUndersizedBasis:
         assert run_cli(["wigner", "--alpha2", 20, "--dim", 63, "--out", tmp_path / "w.csv"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "enlarge the basis" in err
+
+
+def run_captured(args):
+    """Exit code and stderr of one in-process run; argparse's exit is an exit code too."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def names_key(err, name):
+    """Whether the message names `name` as a whole key (`eta` in `evolution.eta` counts)."""
+    return re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err) is not None
+
+
+# small configs that exit 0, one per command and evolution kind
+_BASES = {
+    "fidelity-cat": (
+        "fidelity-cat",
+        {"alpha2": 2.0, "parity": "odd", "eta": [0.0, 0.5], "gamma_t": 0.5, "steps": 3, "dim": 23},
+    ),
+    "fidelity-fock": (
+        "fidelity-fock",
+        {"n": 1, "m": 3, "alpha2": 0.5, "eta": [0.5], "gamma_t": 0.5, "steps": 3, "dim": 15},
+    ),
+    "wigner": (
+        "wigner",
+        {
+            "state": {"kind": "coherent", "alpha2": 0.5},
+            "evolution": {"kind": "continuous", "eta": 0.5, "gamma_t": 0.1},
+            "grid_extent": 3.0,
+            "grid_points": 11,
+            "dim": 23,
+        },
+    ),
+    "wigner-strobo": (
+        "wigner",
+        {
+            "state": {"kind": "coherent", "alpha2": 0.5},
+            "evolution": {"kind": "strobo", "eta": 0.5, "mu": 0.5, "gamma_t_step": 0.02, "steps": 3},
+            "grid_extent": 2.8,
+            "grid_points": 11,
+            "dim": 23,
+        },
+    ),
+    "strobo-pe": (
+        "strobo-pe",
+        {"alpha2": 2.0, "eta": 0.8, "sets": [[0.5, 0.2], [0.0, 0.2]], "gamma_t": 0.4, "dim": 23},
+    ),
+    "qubit-protect": ("qubit-protect", {"eta": 0.5, "gamma_t": 1.0, "steps": 3, "n": 0, "m": 1}),
+    "adiabatic": (
+        "adiabatic",
+        {
+            "areas": [20.0],
+            "state": {"kind": "coherent", "alpha2": 1.0},
+            "steps": 1500,
+            "dim": 31,
+            "n_bar": 3.3,
+            "gamma": 0.005,
+            "gamma_e": 0.05,
+        },
+    ),
+}
+_ODD_VALUES = [
+    None, True, False, "", "0.5", "nan", "x", [], [[0.5]], {},
+    math.nan, math.inf, -math.inf, 10**30, -10**30, 1e300, -1e300, -1, 0,
+]
+# the undersized-basis message is the library's own and names no key
+_BASIS_KEYS = {"alpha2", "state.alpha2", "dim"}
+
+
+def _file_targets(base):
+    """Every key, nested key, first list entry and section of `base`, plus unknown keys."""
+    targets = [("bogus",)]
+    for key, val in base.items():
+        targets.append((key,))
+        if isinstance(val, dict):
+            targets += [(key, sub) for sub in val] + [(key, "bogus")]
+        if isinstance(val, list):
+            targets.append((key, 0))
+            if isinstance(val[0], list):
+                targets += [(key, 0, j) for j in range(len(val[0]))]
+    return targets
+
+
+@st.composite
+def one_replacement(draw):
+    """A base config, one place in it (file key or flag) and the value put there."""
+    name = draw(st.sampled_from(sorted(_BASES)))
+    command, base = _BASES[name]
+    targets = [("file", t) for t in _file_targets(base)]
+    targets += [("flag", flag) for flag in sorted(_ACCEPTED[command])]
+    where, target = draw(st.sampled_from(targets))
+    return command, base, where, target, draw(st.sampled_from(_ODD_VALUES))
+
+
+def _apply(tmp, command, base, where, target, value):
+    """Run the command on `base` with one thing replaced.
+
+    Returns the exit code, stderr, the names an exit-2 message may give, and
+    the replaced keys.
+    """
+    cfg = copy.deepcopy(base)
+    args = [command]
+    if where == "file":
+        node = cfg
+        for step in target[:-1]:
+            node = node[step]
+        node[target[-1]] = value
+        dotted = ".".join(t for t in target if isinstance(t, str))
+        names = [dotted]
+        keys = {dotted}
+    else:
+        text = value if isinstance(value, str) else json.dumps(value)
+        args.append(f"{target}={text}")  # "=" keeps a leading "-" a value
+        flag = target[2:].replace("-", "_")
+        names = [flag] + (["sets"] if flag == "mu" and command == "strobo-pe" else [])
+        keys = {flag, f"state.{flag}"}
+    cfg_path = Path(tmp) / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, err = run_captured(args + ["--config", cfg_path, "--out", Path(tmp) / "out.csv"])
+    return code, err, names, keys
+
+
+class TestConfigTable:
+    # extreme values overflow inside numpy on the way to an exit 0 or 3
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(case=one_replacement())
+    def test_no_config_ends_in_a_traceback(self, case, tmp_path_factory):
+        command, base, where, target, value = case
+        code, err, names, keys = _apply(tmp_path_factory.mktemp("c"), command, base, where, target, value)
+        assert code in (0, 2, 3, 4), err
+        if code == 2:
+            basis = "enlarge the basis" in err and keys & _BASIS_KEYS
+            assert basis or any(names_key(err, name) for name in names), err
+
+    @pytest.mark.parametrize("name", sorted(_BASES))
+    def test_bases_exit_0(self, name, tmp_path):
+        command, base = _BASES[name]
+        (tmp_path / "cfg.json").write_text(json.dumps(base))
+        code, err = run_captured([command, "--config", tmp_path / "cfg.json", "--out", tmp_path / "o.csv"])
+        assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "command, cfg, flags, key",
+        [
+            ("strobo-pe", {"sets": [[True, 0.2], ["0.5", 0.2], [0.3, 0.2, 9]]}, [], "sets"),
+            ("strobo-pe", {"sets": [[True, 0.2], ["0.5", 0.2]]}, [], "sets"),
+            ("strobo-pe", {"sets": [["0.5", 0.2]]}, [], "sets"),
+            ("wigner", {"state": 3}, ["--alpha2", 2], "state"),
+            ("wigner", {"evolution": "x"}, ["--eta", 0.5], "evolution"),
+            ("strobo-pe", {"sets": 5}, ["--mu", 0.3], "sets"),
+            ("qubit-protect", {"n": 10**30}, [], "n"),
+            ("adiabatic", {"steps": 10**30}, [], "steps"),
+            ("wigner", {"evolution": {"kind": "strobo", "steps": 3}}, ["--gamma-t", 0.5], "evolution.gamma_t"),
+            ("wigner", {}, ["--eta", 0.3, "--mu", 9, "--steps", 4], "evolution.eta"),
+            ("wigner", {}, ["--mu", 9], "evolution.mu"),
+            ("wigner", {}, ["--steps", 4], "evolution.steps"),
+            ("wigner", {"bogus": 7}, [], "bogus"),
+            ("qubit-protect", {}, ["--gamma-t", "nan"], "gamma_t"),
+            ("fidelity-cat", {}, ["--alpha2", "nan"], "alpha2"),
+            ("strobo-pe", {"sets": [[0.1, "nan"]]}, [], "sets"),
+            ("fidelity-cat", {}, ["--eta", "abc"], "eta"),
+            ("adiabatic", {"n_bar": math.nan}, [], "n_bar"),
+        ],
+    )
+    def test_reproduced_case_exits_2_naming_its_key(self, command, cfg, flags, key, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        args = [command, "--config", tmp_path / "cfg.json", *flags, "--out", tmp_path / "out.csv"]
+        code, err = run_captured(args)
+        assert code == 2
+        assert err.startswith(f"config error: {key}: "), err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_readme_key_tables_are_the_rendered_tables(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("<!-- key tables: begin -->\n")[1].split("<!-- key tables: end -->")[0]
+        assert block == key_tables()
+
+
+def _describe(spec):
+    """The type and range columns of one spec."""
+    if spec.type == "numbers":
+        return "number or list of numbers", f"non-empty, each {cli._range(spec.of)}"
+    if spec.type == "rows":
+        ranges = ", ".join(f"{name} {cli._range(k.spec) or 'finite'}" for name, k in spec.of.items())
+        return f"list of [{', '.join(spec.of)}]", ranges
+    if spec.type == "section":
+        return "mapping by `kind`", "the keys of its kind, below"
+    return "string" if spec.type == "choice" else spec.type, cli._range(spec) or "finite"
+
+
+def _table_row(dotted, k, kinds=""):
+    flags = []
+    if k.flag:
+        flags.append(f"`--{dotted.rpartition('.')[2].replace('_', '-')}`")
+        flags[0] += " (comma list)" if k.spec.type == "numbers" else ""
+    if k.spec.type == "rows":
+        flags += [f"`--{name}` (every `{name}`)" for name, field in k.spec.of.items() if field.flag]
+    default = "required" if k.default is None else k.default if isinstance(k.default, cli._Missing) else (
+        f"`{json.dumps(k.default)}`")
+    what, ranges = _describe(k.spec)
+    return f"| `{dotted}`{kinds} | {what} | {ranges} | {default} | {', '.join(flags)} |"
+
+
+def key_tables() -> str:
+    """The key tables of the README, rendered from the CLI's command tables."""
+    lines = []
+    for command, (_, table) in cli._COMMANDS.items():
+        lines += [f"`{command}`", "", "| key | type | range | default | flag |", "| --- | --- | --- | --- | --- |"]
+        for key, k in table.items():
+            lines.append(_table_row(key, k))
+            if k.spec.type != "section":
+                continue
+            kinds = tuple(k.spec.of)
+            lines.append(_table_row(f"{key}.kind", cli._Key(cli._Spec("choice", of=kinds), kinds[0])))
+            groups = []  # [name, key, kinds] of a key that reads the same in several kinds
+            for kind, keys in k.spec.of.items():
+                for name, sub in keys.items():
+                    match = next((g for g in groups if g[:2] == [name, sub]), None)
+                    if match:
+                        match[2].append(kind)
+                    else:
+                        groups.append([name, sub, [kind]])
+            lines += [_table_row(f"{key}.{name}", sub, f" ({', '.join(ks)})") for name, sub, ks in groups]
+        lines.append("")
+    return "\n".join(lines)

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from cavityfeedback import (
-    ProtectionReport,
     QubitSpec,
     UnboundedError,
     approx_n_opt,
     evolve_operator,
     min_fidelity,
     optimal_n,
-    protection_report,
     threshold_eta,
 )
 
@@ -237,14 +235,3 @@ class TestSmallTimeLaws:
             assert abs(f - 0.5 * (1.0 + np.exp(-gt * rate))) < 1e-14
             assert f >= 0.5 * (1.0 + np.exp(-gt / (4.0 * n)))
 
-
-class TestProtectionReport:
-    def test_bundle(self):
-        report = protection_report(0.9, [0.0, 0.1, 0.2])
-        assert report.n_opt == 1
-        assert report.f_min_curve[0] == (0.0, 1.0)
-        assert abs(report.threshold_eta - 2.0 * (np.sqrt(2.0) - 1.0)) < 1e-10
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            ProtectionReport(0, ((0.0, 1.5),), 0.83)
