@@ -9,11 +9,8 @@ photon-transfer verification, all on a truncated Fock basis.
 __version__ = "0.1.0"
 
 from .adiabatic import (
-    AdiabaticityReport,
-    ManifoldState,
     PulsePair,
     adiabaticity_report,
-    crossing_amplitudes,
     dark_state,
     integrate_crossing,
     minimum_dark_overlap,
@@ -24,7 +21,6 @@ from .continuous import (
     FidelityCurve,
     cat_fidelity_analytic,
     evolve_continuous,
-    evolve_continuous_grid,
     evolve_operator,
     fidelity_curve,
     fock_fidelity_analytic,
@@ -66,19 +62,15 @@ from .qubits import (
     threshold_eta,
 )
 from .strobo import (
-    BandMatrix,
     DetectionSequence,
     StroboParams,
     StroboRun,
     analytic_stationary_state,
-    build_band_matrix,
     evolve_strobo,
-    feedback_superop,
     p_ee_analytic,
     resonance_angle,
     run_sequence,
     stationary_state,
-    strobo_step,
 )
 from .wigner import (
     CartesianGrid,

@@ -25,6 +25,7 @@ the states inside all blocks then follow together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,13 +57,14 @@ class PulsePair:
     width: float
 
     def __post_init__(self):
-        if self.g_max <= 0 or self.omega_max <= 0:
+        # negated comparisons, so that NaN fails too
+        if not (self.g_max > 0 and self.omega_max > 0):
             raise ValueError("pulse peaks must be positive")
-        if self.t_cross <= 0:
+        if not self.t_cross > 0:
             raise ValueError("t_cross must be positive")
-        if self.delay <= 0:
+        if not self.delay > 0:
             raise ValueError("delay must be positive (counterintuitive ordering)")
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("width must be positive")
 
     def values(self, t):
@@ -79,29 +81,6 @@ class PulsePair:
 def standard_pulses(g_max: float, omega_max: float, t_cross: float) -> PulsePair:
     """Documented defaults: width t_cross / 6, classical pulse delayed t_cross / 4."""
     return PulsePair(g_max, omega_max, t_cross, t_cross / 4.0, t_cross / 6.0)
-
-
-@dataclass(frozen=True)
-class ManifoldState:
-    """Amplitudes on (|g1,n>, |e,n>, |g2,n+1>) for each photon sector n.
-
-    At exact two-photon resonance the sector generator is real, so an atom
-    entering in |g1> keeps real amplitudes; they are stored as complex for
-    interface uniformity.
-    """
-
-    sectors: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.sectors, dtype=complex)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError("sectors must have shape (n_sectors, 3)")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "sectors", arr)
-
-    def norms(self) -> np.ndarray:
-        return np.sum(np.abs(self.sectors) ** 2, axis=1)
 
 
 def dark_state(n: int, g, omega) -> np.ndarray:
@@ -248,18 +227,6 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
     return DensityMatrix.from_map(final[None], field_rho.dim)[0], f_fine, peak_e
 
 
-def crossing_amplitudes(pulses: PulsePair, n_sectors: int, steps: int) -> ManifoldState:
-    """Final per-sector amplitudes for an atom entering in |g1>.
-
-    Row n holds the (|g1,n>, |e,n>, |g2,n+1>) amplitudes after the crossing;
-    perfect adiabatic transfer puts everything in the last column.
-    """
-    if n_sectors < 1 or steps < 1:
-        raise ValueError("need n_sectors >= 1 and steps >= 1")
-    y, _ = _integrate(pulses, n_sectors, steps, np.zeros(n_sectors))
-    return ManifoldState(y)
-
-
 def minimum_dark_overlap(pulses: PulsePair, n: int, steps: int) -> float:
     """Smallest squared overlap with the instantaneous dark state over a crossing.
 
@@ -276,28 +243,13 @@ def minimum_dark_overlap(pulses: PulsePair, n: int, steps: int) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
+    """One ratio of the timescale chain against its factor, and its status."""
+
     name: str
     ratio: float
     factor: float
     status: str
-
-
-@dataclass(frozen=True)
-class AdiabaticityReport:
-    """Numeric ratios for the separation-of-timescales chain.
-
-    The crossing must be slow against both peak couplings yet fast against
-    photon loss and spontaneous emission.  A ratio strictly above the
-    configured factor passes; exact equality is only marginal.
-    """
-
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
 
 
 def adiabaticity_report(
@@ -306,8 +258,14 @@ def adiabaticity_report(
     gamma: float,
     gamma_e: float,
     factor: float = 10.0,
-) -> AdiabaticityReport:
-    """Evaluate the timescale chain omega_max, g_max >> 1/t_cross >> n_bar gamma, gamma_e."""
+) -> tuple:
+    """Evaluate the timescale chain omega_max, g_max >> 1/t_cross >> n_bar gamma, gamma_e.
+
+    The crossing must be slow against both peak couplings yet fast against
+    photon loss and spontaneous emission.  Returns one `InequalityCheck` per
+    link; a ratio strictly above `factor` passes, exact equality is only
+    marginal.
+    """
     if not (n_bar > 0 and gamma > 0 and gamma_e > 0):  # NaN fails too
         raise ValueError("rates must be positive")
     rate = 1.0 / pulses.t_cross
@@ -326,4 +284,4 @@ def adiabaticity_report(
         else:
             status = "fail"
         checks.append(InequalityCheck(name, float(ratio), factor, status))
-    return AdiabaticityReport(tuple(checks))
+    return tuple(checks)

@@ -391,12 +391,7 @@ def cmd_adiabatic(cfg):
     report = adiabaticity_report(
         standard_pulses(max(areas), max(areas), 1.0), cfg["n_bar"], cfg["gamma"], cfg["gamma_e"]
     )
-    extras = {
-        "timescale_report": [
-            {"name": c.name, "ratio": c.ratio, "factor": c.factor, "status": c.status}
-            for c in report.checks
-        ],
-    }
+    extras = {"timescale_report": [c._asdict() for c in report]}
     header = ["area", "transfer_fidelity", "peak_excited_population"]
     return header, rows, checks, extras
 

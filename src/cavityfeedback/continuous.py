@@ -152,22 +152,6 @@ def evolve_continuous(rho0: DensityMatrix, params: ContinuousParams, t: float) -
     return DensityMatrix.from_map(out[None], rho0.dim)[0]
 
 
-def evolve_continuous_grid(rho0: DensityMatrix, params: ContinuousParams, times) -> list:
-    """States at each time of a uniform grid starting at 0.
-
-    One propagator per nonzero band is exponentiated for the grid spacing and
-    applied repeatedly; products of exact exponentials of one generator stay
-    exact.
-    """
-    dt, steps = _uniform_steps(times)
-    _check_top_population(rho0)
-    if steps == 0:
-        return [rho0]
-    step = partial(_band_propagator, params.eta, params.gamma * dt)
-    stack = _propagate(rho0.elements, step, steps)
-    return [rho0] + DensityMatrix.from_map(stack[1:], rho0.dim)
-
-
 class FidelityCurve(NamedTuple):
     """Overlaps Tr rho0 rho(t) on a time grid, with the invariant margins of rho(t)."""
 
@@ -181,8 +165,8 @@ def fidelity_curve(rho0: DensityMatrix, params: ContinuousParams, times) -> Fide
     The overlap equals sum_p w_p Re <b_p(0), b_p(t)> over the bands b_p, with
     w_0 = 1 and w_p = 2, and only the bands nonzero in rho0 are propagated.
     It is summed as `fidelity` sums it, so the values equal those of `fidelity`
-    on each state of `evolve_continuous_grid`, but no state object is built
-    per time point.  Every rho(t) is still checked for Hermiticity, trace and
+    on the state at each time point, but no state object is built per time
+    point.  Every rho(t) is still checked for Hermiticity, trace and
     positivity, and a violation raises NumericalInvariantError.
     """
     dt, steps = _uniform_steps(times)

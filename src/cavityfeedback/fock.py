@@ -80,10 +80,6 @@ class StateVector:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {_NORM_TOL}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
-    def mean_photon_number(self) -> float:
-        n = np.arange(self.dim.size)
-        return float(np.sum(n * np.abs(self.amplitudes) ** 2))
-
 
 class DensityMargins(NamedTuple):
     """Worst case over a stack of matrices of each density-matrix invariant."""
@@ -132,12 +128,6 @@ def _min_eigenvalue(stack: np.ndarray) -> float:
         (np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2.0).min() for b in blocks),
     )
     return float(lo)
-
-
-def density_margins(stack) -> DensityMargins:
-    """Invariant margins of a (T, n, n) stack of candidate density matrices."""
-    stack = np.asarray(stack)
-    return DensityMargins(*_linear_margins(stack), _min_eigenvalue(stack))
 
 
 def check_density(stack, error=ValueError) -> DensityMargins:

@@ -37,7 +37,7 @@ def min_fidelity(spec: QubitSpec, eta: float, gamma_t: float) -> float:
     """Worst-case fidelity over all input qubits with photon numbers (n, m)."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    if gamma_t < 0:
+    if not gamma_t >= 0:  # negated, so that NaN fails too
         raise ValueError("gamma_t must be >= 0")
     n, m = spec.n, spec.m
     damped = np.exp(-(1.0 - eta) * gamma_t * (n + m))

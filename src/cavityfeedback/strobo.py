@@ -9,19 +9,25 @@ One period of the protocol applies, in order,
    Rabi amplitudes cos/sin(mu sqrt(n)), mu = Omega tau,
 3. vacuum-bath dissipation for the inter-atom interval, gamma_T = gamma T.
 
+Averaged over outcomes, steps 1 and 2 are the feedback map: with
+probability eta the probe atom is detected, the odd outcome leaves the field
+alone and the even outcome triggers the feedback atom; with probability
+1 - eta nothing is detected and no feedback acts, but the parity measurement
+still removes every coherence between the two parity sectors.  A period at
+gamma_T = 0 is that map alone.
+
 Every map couples a density-matrix element only to elements with the same
 off-diagonal index p, so each band evolves under its own real step matrix.
 Both feedback schemes run on one band core: `evolve_strobo` hands these
 matrices, built once per parameter set, to `continuous._propagate`, which
 skips zero bands (every odd band after the first period), and checks every
-state it produces, a fixed chunk of periods at a time.  `strobo_step`,
-`feedback_superop` and `run_sequence` run on it, and the same matrices give
-the spectra and the stationary state.  The dense elementwise Kraus forms of
-the maps are kept in the tests as oracles.
+state it produces, a fixed chunk of periods at a time.  `run_sequence` runs
+on it, and the same matrices give the stationary state.  The dense
+elementwise Kraus forms of the maps are kept in the tests as oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,30 +54,10 @@ class StroboParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.mu < 0:
+        if not self.mu >= 0:  # negated, so that NaN fails too
             raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if self.gamma_T < 0:
+        if not self.gamma_T >= 0:
             raise ValueError(f"gamma_T must be >= 0, got {self.gamma_T}")
-
-
-@dataclass(frozen=True)
-class BandMatrix:
-    """One-step linear map acting on the band of elements rho_{n,n+p}."""
-
-    p: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("band matrix must be square")
-        if mat.any():  # a zero matrix, such as every odd band's, has radius 0
-            radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
-            if radius > 1.0 + _SPECTRAL_TOL:
-                raise ValueError(f"spectral radius {radius!r} exceeds 1")
-        mat = np.ascontiguousarray(mat)
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
 
 
 def _kraus_log_table(n_dim: int, gamma_T: float) -> np.ndarray:
@@ -129,32 +115,26 @@ def _band_entries(p: int, params: StroboParams, c: np.ndarray) -> np.ndarray:
     return mat
 
 
-def build_band_matrix(p: int, params: StroboParams, dim: FockDim) -> BandMatrix:
-    """Assemble the one-step matrix acting on the band rho_{n,n+p}.
-
-    Odd p gives the zero matrix: the parity measurement removes every
-    coherence between the even and odd subspaces in a single step.
-    """
-    if not 0 <= p <= dim.n_max:
-        raise ValueError(f"band index {p} out of range 0..{dim.n_max}")
-    return BandMatrix(p, _band_entries(p, params, _kraus_table(dim.size, params.gamma_T)))
-
-
 def _step_matrices(params: StroboParams, dim: FockDim) -> list:
     """Complex one-step matrices of every band, for the band core.
 
     A step map that does not conserve the trace is a fault of the computation
     and raises NumericalInvariantError before any state is stepped: every
     column of the diagonal band must sum to 1, except the top level's, whose
-    lifted image the feedback atom would push out of the basis.  Each matrix
-    then passes the `BandMatrix` spectral-radius check.
+    lifted image the feedback atom would push out of the basis.  So does a
+    band whose spectral radius exceeds 1 by more than 1e-10.
     """
     c = _kraus_table(dim.size, params.gamma_T)
     entries = [_band_entries(p, params, c) for p in range(dim.size)]
     drift = float(np.max(np.abs(entries[0][:, :-1].sum(axis=0) - 1.0)))
     if not drift <= _TRACE_TOL:
         raise NumericalInvariantError(f"trace deviates from 1 by {drift:.3e} in the step map")
-    return [BandMatrix(p, mat).entries.astype(complex) for p, mat in enumerate(entries)]
+    for p, mat in enumerate(entries):
+        if mat.any():  # a zero matrix, such as every odd band's, has radius 0
+            radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
+            if not radius <= 1.0 + _SPECTRAL_TOL:
+                raise NumericalInvariantError(f"spectral radius {radius!r} of band {p} exceeds 1")
+    return [mat.astype(complex) for mat in entries]
 
 
 class StroboRun(NamedTuple):
@@ -168,7 +148,7 @@ def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> Stro
     """Apply `steps` full periods (feedback, then dissipation) to rho0.
 
     The periods run through the band core of `continuous` on the step
-    matrices of `build_band_matrix`, built once for the run, a fixed chunk of
+    matrices of `_step_matrices`, built once for the run, a fixed chunk of
     periods at a time.  Every state of a chunk is checked for Hermiticity,
     trace and positivity (NumericalInvariantError), and when the feedback
     atom acts (eta > 0) on an even top level, population above 1e-10 there
@@ -198,23 +178,6 @@ def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> Stro
     return StroboRun(state, populations)
 
 
-def feedback_superop(rho: DensityMatrix, params: StroboParams) -> DensityMatrix:
-    """Probe measurement plus conditional feedback, averaged over outcomes.
-
-    With probability eta the probe atom is detected: the odd outcome leaves
-    the field alone, the even outcome triggers the feedback atom.  With
-    probability 1 - eta nothing is detected and no feedback acts; the parity
-    measurement still removes coherences between the two parity sectors.
-    This is one period without dissipation.
-    """
-    return strobo_step(rho, replace(params, gamma_T=0.0))
-
-
-def strobo_step(rho: DensityMatrix, params: StroboParams) -> DensityMatrix:
-    """One full period: measurement-conditioned feedback, then dissipation."""
-    return evolve_strobo(rho, params, 1).state
-
-
 def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
     """Fixed point of the stroboscopic map from the diagonal band matrix.
 
@@ -223,8 +186,7 @@ def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
     """
     if not params.gamma_T > 0:
         raise ValueError("stationary state requires gamma_T > 0")
-    a0 = build_band_matrix(0, params, dim)
-    vals, vecs = np.linalg.eig(a0.entries)
+    vals, vecs = np.linalg.eig(_step_matrices(params, dim)[0].real)
     at_one = np.abs(vals - 1.0) < 1e-10
     count = int(np.sum(at_one))
     if count > 1:
@@ -244,7 +206,8 @@ def analytic_stationary_state(params: StroboParams, dim: FockDim) -> DensityMatr
     if not params.gamma_T > 0:
         raise ValueError("stationary state requires gamma_T > 0")
     pump = params.eta * np.sin(params.mu) ** 2
-    w1 = pump / (np.expm1(params.gamma_T) + pump)
+    with np.errstate(over="ignore"):  # expm1 overflows to inf above ~709: w1 = 0
+        w1 = pump / (np.expm1(params.gamma_T) + pump)
     diag = np.zeros(dim.size, dtype=complex)
     diag[0] = 1.0 - w1
     diag[1] = w1
@@ -301,7 +264,7 @@ def run_sequence(rho0: DensityMatrix, params: StroboParams, steps: int) -> Detec
 
 def resonance_angle(n_bar: float, m: int) -> float:
     """Feedback angle maximising photon release at mean photon number n_bar."""
-    if n_bar <= 0:
+    if not n_bar > 0:
         raise ValueError("n_bar must be positive")
     if m < 0:
         raise ValueError("m must be >= 0")

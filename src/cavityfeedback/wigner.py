@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import GridTooCoarseError
+from .errors import GridTooCoarseError, NumericalInvariantError
 from .fock import DensityMatrix
 
 _QUAD_HARD_TOL = 1e-2
@@ -79,7 +79,7 @@ class WignerGrid:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         vals = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(vals)):
-            raise ValueError("Wigner values must be finite")
+            raise NumericalInvariantError("Wigner values must be finite")
         vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

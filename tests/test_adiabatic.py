@@ -169,18 +169,14 @@ class TestIntegrateCrossing:
             integrate_crossing(vacuum(dim31), standard_pulses(AREA, AREA, 1.0), STEPS)
 
     def test_unitarity_norm_drift(self):
-        from cavityfeedback import crossing_amplitudes
-
         pulses = standard_pulses(AREA, AREA, 1.0)
-        state = crossing_amplitudes(pulses, 32, 2 * STEPS)
-        assert np.max(np.abs(state.norms() - 1.0)) < 1e-9
+        final = _integrate(pulses, 32, 2 * STEPS, np.zeros(32))[0]
+        assert np.max(np.abs(np.sum(final**2, axis=1) - 1.0)) < 1e-9
 
     def test_adiabatic_amplitudes_concentrate_on_transfer(self):
-        from cavityfeedback import crossing_amplitudes
-
         pulses = standard_pulses(AREA, AREA, 1.0)
-        state = crossing_amplitudes(pulses, 8, STEPS)
-        assert np.min(np.abs(state.sectors[:, 2]) ** 2) > 0.999
+        final = _integrate(pulses, 8, STEPS, np.zeros(8))[0]
+        assert np.min(final[:, 2] ** 2) > 0.999
 
 
 class TestDarkStateTracking:
@@ -251,24 +247,23 @@ class TestBlockedStepper:
 class TestAdiabaticityReport:
     def test_separated_scales_pass(self):
         pulses = standard_pulses(100.0, 100.0, 1.0)
-        report = adiabaticity_report(pulses, n_bar=3.3, gamma=0.001, gamma_e=0.01)
-        assert report.passed
-        assert [c.status for c in report.checks] == ["pass"] * 4
+        checks = adiabaticity_report(pulses, n_bar=3.3, gamma=0.001, gamma_e=0.01)
+        assert [c.status for c in checks] == ["pass"] * 4
 
     def test_weak_drive_fails(self):
         pulses = standard_pulses(5.0, 100.0, 1.0)
-        report = adiabaticity_report(pulses, n_bar=1.0, gamma=0.001, gamma_e=0.01)
-        by_name = {c.name: c for c in report.checks}
+        checks = adiabaticity_report(pulses, n_bar=1.0, gamma=0.001, gamma_e=0.01)
+        by_name = {c.name: c for c in checks}
         assert by_name["g_max vs crossing rate"].status == "fail"
-        assert not report.passed
+        assert [c.status for c in checks].count("pass") == 3
 
     def test_exact_equality_is_marginal(self):
         pulses = standard_pulses(10.0, 100.0, 1.0)
-        report = adiabaticity_report(pulses, n_bar=1.0, gamma=0.001, gamma_e=0.01)
-        by_name = {c.name: c for c in report.checks}
+        checks = adiabaticity_report(pulses, n_bar=1.0, gamma=0.001, gamma_e=0.01)
+        by_name = {c.name: c for c in checks}
         assert by_name["g_max vs crossing rate"].ratio == 10.0
         assert by_name["g_max vs crossing rate"].status == "marginal"
-        assert not report.passed
+        assert [c.status for c in checks].count("pass") == 3
 
     @pytest.mark.parametrize("rates", [(np.nan, 0.001, 0.01), (3.3, np.nan, 0.01), (3.3, 0.001, np.nan)])
     def test_nan_rate_raises(self, rates):

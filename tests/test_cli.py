@@ -192,6 +192,17 @@ class TestStroboPe:
         extras = read_sidecar(out)["extras"]
         assert abs(extras["final_pe"][0] - extras["stationary_pe"][0]) < 1e-3
 
+    @pytest.mark.filterwarnings("error")
+    def test_long_interval_runs_without_a_warning(self, tmp_path, capsys):
+        # exp(gamma_T) overflows above gamma_T ~ 709, where the stationary
+        # one-photon weight is exactly 0
+        cfg = {"sets": [[0.5, 1000.0]], "gamma_t": 2000.0, "dim": 23, "alpha2": 2.0}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "pe.csv"
+        assert run_cli(["strobo-pe", "--config", tmp_path / "cfg.json", "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_sidecar(out)["extras"]["stationary_pe"] == [0.0]
+
 
 class TestQubitProtect:
     def test_default_run(self, tmp_path):
@@ -339,6 +350,16 @@ class TestFailureClasses:
         monkeypatch.setattr(strobo, "evolve_strobo", off_by_1e9)
         assert run_cli(["strobo-pe", "--gamma-t", 0.1, "--out", tmp_path / "out.csv"]) == 3
         assert "numerical failure: P_e + P_g" in capsys.readouterr().err
+
+    def test_step_matrix_beyond_unit_radius_exits_3(self, tmp_path, monkeypatch, capsys):
+        real = strobo._band_entries
+
+        def band_2_grows(p, params, c):
+            return 1.5 * np.eye(c.shape[0] - p) if p == 2 else real(p, params, c)
+
+        monkeypatch.setattr(strobo, "_band_entries", band_2_grows)
+        assert run_cli(["strobo-pe", "--gamma-t", 0.1, "--out", tmp_path / "out.csv"]) == 3
+        assert "numerical failure: spectral radius 1.5 of band 2" in capsys.readouterr().err
 
 
 class TestConfigTypes:

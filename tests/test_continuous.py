@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from cavityfeedback import (
     cat_state,
     coherent_state,
     evolve_continuous,
-    evolve_continuous_grid,
     evolve_operator,
     fidelity,
     fidelity_curve,
@@ -24,8 +25,15 @@ from cavityfeedback import (
     mean_amplitude_ideal,
     standard_phase_diffusion,
 )
-from cavityfeedback.fock import _band_period, density_margins
+from cavityfeedback.continuous import _band_propagator, _propagate, _uniform_steps
+from cavityfeedback.fock import _band_period, check_density
 from conftest import random_density
+
+
+def grid_stack(rho0, eta, times):
+    """rho0 on each time of a uniform grid at gamma = 1, from the band core."""
+    dt, steps = _uniform_steps(times)
+    return _propagate(rho0.elements, partial(_band_propagator, eta, dt), steps)
 
 
 def two_level_state(n, m, w_n, dim):
@@ -103,10 +111,9 @@ class TestEvolveContinuous:
         rho0 = random_density(15, 12, seed=9)
         times = np.linspace(0.0, 1.0, 6)
         params = ContinuousParams(1.0, 0.3)
-        states = evolve_continuous_grid(rho0, params, times)
-        for t, st in zip(times, states):
+        for t, mat in zip(times, grid_stack(rho0, params.eta, times)):
             single = evolve_continuous(rho0, params, t)
-            assert np.max(np.abs(st.elements - single.elements)) < 1e-11
+            assert np.max(np.abs(mat - single.elements)) < 1e-11
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -338,7 +345,7 @@ class TestBandCore:
         assert calls == [(64 - p, 64 - p) for p in range(0, 64, 2)]
         calls.clear()
         rho0 = two_level_state(2, 4, 1 / 3, dim63)
-        evolve_continuous_grid(rho0, ContinuousParams(1.0, 0.5), np.linspace(0.0, 1.0, 5))
+        fidelity_curve(rho0, ContinuousParams(1.0, 0.5), np.linspace(0.0, 1.0, 5))
         assert calls == [(64, 64), (62, 62)]
 
     def test_grid_states_are_checked_as_map_output(self, monkeypatch, dim63):
@@ -351,7 +358,6 @@ class TestBandCore:
         times = np.linspace(0.0, 1.0, 5)
         for run in (
             lambda: fidelity_curve(rho0, ContinuousParams(1.0, 0.5), times),
-            lambda: evolve_continuous_grid(rho0, ContinuousParams(1.0, 0.5), times),
             lambda: evolve_continuous(rho0, ContinuousParams(1.0, 0.5), 0.5),
         ):
             with pytest.raises(NumericalInvariantError, match="trace"):
@@ -364,7 +370,8 @@ class TestFidelityCurveProperties:
     def test_matches_dense_states(self, rho0, eta, times):
         params = ContinuousParams(1.0, eta)
         curve = fidelity_curve(rho0, params, times)
-        dense = [fidelity(rho0, s) for s in evolve_continuous_grid(rho0, params, times)]
+        states = DensityMatrix.from_map(grid_stack(rho0, eta, times), rho0.dim)
+        dense = [fidelity(rho0, s) for s in states]
         assert np.max(np.abs(curve.fidelity - dense)) <= 1e-12
         assert curve.margins.trace_drift <= 1e-10
         assert curve.margins.hermiticity <= 1e-12
@@ -386,8 +393,7 @@ class TestFidelityCurveProperties:
         coeffs = rng.normal(size=len(levels)) + 1j * rng.normal(size=len(levels))
         coeffs /= np.linalg.norm(coeffs)
         rho0 = DensityMatrix.from_state(fock_superposition(zip(levels, coeffs), _DIM))
-        states = evolve_continuous_grid(rho0, ContinuousParams(1.0, eta), times)
-        stack = np.array([s.elements for s in states])
+        stack = grid_stack(rho0, eta, times)
         assert _band_period(stack) == g
-        full = min(float(np.min(np.linalg.eigvalsh(s.elements))) for s in states)
-        assert abs(density_margins(stack).min_eigenvalue - full) <= 1e-14
+        full = min(float(np.min(np.linalg.eigvalsh(m))) for m in stack)
+        assert abs(check_density(stack).min_eigenvalue - full) <= 1e-14

@@ -17,7 +17,7 @@ from cavityfeedback import (
     mean_amplitude,
     parity_expectation,
 )
-from cavityfeedback.fock import _band_period, check_density, density_margins
+from cavityfeedback.fock import _band_period, check_density
 from conftest import random_density
 
 _BAD_MATRICES = {
@@ -38,7 +38,7 @@ class TestCoherentState:
         st = coherent_state(np.sqrt(5.0), dim63)
         direct = sum(n * abs(c) ** 2 for n, c in enumerate(st.amplitudes))
         assert abs(direct - 5.0) < 1e-8
-        assert abs(st.mean_photon_number() - 5.0) < 1e-8
+        assert abs(DensityMatrix.from_state(st).mean_photon_number() - 5.0) < 1e-8
 
     def test_norm(self, dim63):
         st = coherent_state(np.sqrt(3.3), dim63)
@@ -75,7 +75,7 @@ class TestCatState:
         st = cat_state(np.sqrt(a2), CatParity.EVEN, dim63)
         direct = sum(n * abs(c) ** 2 for n, c in enumerate(st.amplitudes))
         assert abs(direct - a2 * np.tanh(a2)) < 1e-10
-        assert abs(st.mean_photon_number() - direct) < 1e-12
+        assert abs(DensityMatrix.from_state(st).mean_photon_number() - direct) < 1e-12
 
     @pytest.mark.parametrize("a2", [0.5, 3.3, 5.0, 10.0])
     @pytest.mark.parametrize("parity", [CatParity.EVEN, CatParity.ODD])
@@ -98,7 +98,7 @@ class TestCatState:
 class TestFockSuperposition:
     def test_two_level_state(self, dim63):
         st = fock_superposition([(2, 1 / np.sqrt(3)), (4, np.sqrt(2.0 / 3.0))], dim63)
-        assert abs(st.mean_photon_number() - 10.0 / 3.0) < 1e-12
+        assert abs(DensityMatrix.from_state(st).mean_photon_number() - 10.0 / 3.0) < 1e-12
 
     def test_vacuum(self, dim63):
         st = fock_superposition([(0, 1.0)], dim63)
@@ -107,7 +107,7 @@ class TestFockSuperposition:
     def test_complex_coefficients(self, dim63):
         st = fock_superposition([(1, 1 / np.sqrt(2)), (3, 1j / np.sqrt(2))], dim63)
         assert abs(np.sum(np.abs(st.amplitudes) ** 2) - 1.0) < 1e-12
-        assert abs(st.mean_photon_number() - 2.0) < 1e-12
+        assert abs(DensityMatrix.from_state(st).mean_photon_number() - 2.0) < 1e-12
 
     def test_index_above_cutoff(self):
         with pytest.raises(IndexError):
@@ -275,7 +275,7 @@ class TestDensityMargins:
         mixed = 0.7 * rho.elements + 0.3 * np.diag(np.full(64, 1.0 / 64))
         stack = np.array([rho.elements, mixed])
         assert _band_period(stack) == 2
-        margins = density_margins(stack)
+        margins = check_density(stack)
         full = min(np.min(np.linalg.eigvalsh(m)) for m in stack)
         assert abs(margins.min_eigenvalue - full) <= 1e-15
         assert margins.hermiticity == 0.0

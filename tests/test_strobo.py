@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,30 +8,29 @@ from hypothesis import strategies as st
 import cavityfeedback.fock as fock
 import cavityfeedback.strobo as strobo
 from cavityfeedback import (
-    BandMatrix,
     CatParity,
     DensityMatrix,
     FockDim,
     NumericalInvariantError,
+    PulsePair,
+    QubitSpec,
     StroboParams,
     TruncationError,
     analytic_stationary_state,
-    build_band_matrix,
     cat_state,
     coherent_state,
     evolve_strobo,
-    feedback_superop,
     fock_superposition,
+    min_fidelity,
     p_ee_analytic,
     parity_expectation,
     resonance_angle,
     run_sequence,
     stationary_state,
-    strobo_step,
     trace_distance,
 )
-from cavityfeedback.fock import density_margins
-from cavityfeedback.strobo import _CHUNK, _kraus_log_table
+from cavityfeedback.fock import check_density
+from cavityfeedback.strobo import _CHUNK, _kraus_log_table, _step_matrices
 from conftest import random_density, random_parity_density
 
 # Dense elementwise forms of the stroboscopic maps.  The library runs every
@@ -157,13 +158,16 @@ def number_state(n, dim):
     return DensityMatrix.from_state(fock_superposition([(n, 1.0)], dim))
 
 
+def one_period(rho, params):
+    return evolve_strobo(rho, params, 1).state
+
+
 def step_with_bands(rho, params):
     """Reassemble one step from the per-band matrices."""
     n = rho.dim.size
     out = np.zeros((n, n), dtype=complex)
-    for p in range(n):
-        mat = build_band_matrix(p, params, rho.dim)
-        v = mat.entries @ np.diagonal(rho.elements, offset=p)
+    for p, mat in enumerate(_step_matrices(params, rho.dim)):
+        v = mat @ np.diagonal(rho.elements, offset=p)
         idx = np.arange(n - p)
         out[idx, idx + p] = v
         if p:
@@ -225,29 +229,31 @@ class TestFeedbackAtomMap:
 
 
 class TestFeedbackSuperop:
+    """One period at gamma_T = 0: the parity measurement and the feedback atom alone."""
+
     def test_zero_efficiency_is_identity(self, dim31):
         rho = odd_cat(3.3, dim31)
-        out = feedback_superop(rho, StroboParams(0.0, np.pi / 3, 0.1))
+        out = one_period(rho, StroboParams(0.0, np.pi / 3, 0.0))
         assert np.max(np.abs(out.elements - rho.elements)) < 1e-15
 
     def test_odd_state_unaffected(self, dim31):
         rho = odd_cat(3.3, dim31)
         for mu in (0.4, np.pi / 2):
-            out = feedback_superop(rho, StroboParams(1.0, mu, 0.1))
+            out = one_period(rho, StroboParams(1.0, mu, 0.0))
             assert np.max(np.abs(out.elements - rho.elements)) < 1e-14
 
     def test_vacuum_pumped_to_one_photon(self, dim31):
-        out = feedback_superop(number_state(0, dim31), StroboParams(1.0, np.pi / 2, 0.1))
+        out = one_period(number_state(0, dim31), StroboParams(1.0, np.pi / 2, 0.0))
         assert np.max(np.abs(out.elements - number_state(1, dim31).elements)) < 1e-14
 
     def test_trace_preserved(self):
         rho = random_density(15, 12, seed=3)
-        out = feedback_superop(rho, StroboParams(0.7, 1.1, 0.1))
+        out = one_period(rho, StroboParams(0.7, 1.1, 0.0))
         assert np.trace(out.elements).real == pytest.approx(1.0, abs=1e-12)
 
     def test_kills_parity_coherences(self):
         rho = random_density(15, 12, seed=4)
-        out = feedback_superop(rho, StroboParams(0.0, 0.0, 0.1))
+        out = one_period(rho, StroboParams(0.0, 0.0, 0.0))
         n = np.arange(16)
         cross = ((n[:, None] + n[None, :]) % 2 == 1)
         assert np.max(np.abs(out.elements[cross])) == 0.0
@@ -283,23 +289,23 @@ class TestStroboStep:
     def test_zero_efficiency_is_pure_dissipation(self, dim31):
         rho = odd_cat(3.3, dim31)
         params = StroboParams(0.0, np.pi / 2, 0.15)
-        out = strobo_step(rho, params)
+        out = one_period(rho, params)
         ref = dissipation_map(rho, 0.15)
         assert np.max(np.abs(out.elements - ref.elements)) < 1e-14
 
     def test_feedback_raises_parity(self, dim31):
         rho = odd_cat(3.3, dim31)
-        fb = strobo_step(rho, StroboParams(1.0, np.pi / 6, 0.02))
-        nofb = strobo_step(rho, StroboParams(0.0, np.pi / 6, 0.02))
+        fb = one_period(rho, StroboParams(1.0, np.pi / 6, 0.02))
+        nofb = one_period(rho, StroboParams(0.0, np.pi / 6, 0.02))
         assert parity_expectation(fb) <= parity_expectation(nofb)
 
     def test_lossless_composition(self, dim31):
-        out = strobo_step(number_state(0, dim31), StroboParams(1.0, np.pi / 2, 0.0))
+        out = one_period(number_state(0, dim31), StroboParams(1.0, np.pi / 2, 0.0))
         assert np.max(np.abs(out.elements - number_state(1, dim31).elements)) < 1e-14
 
     def test_parity_sector_closure(self):
         rho = random_parity_density(15, 12, seed=6)
-        out = strobo_step(rho, StroboParams(0.6, 0.9, 0.05))
+        out = one_period(rho, StroboParams(0.6, 0.9, 0.05))
         n = np.arange(16)
         cross = ((n[:, None] + n[None, :]) % 2 == 1)
         assert np.max(np.abs(out.elements[cross])) < 1e-13
@@ -307,38 +313,42 @@ class TestStroboStep:
 
 class TestBandMatrices:
     def test_identity_without_feedback_or_loss(self, dim31):
-        mat = build_band_matrix(0, StroboParams(0.0, 0.7, 0.0), dim31)
-        assert np.array_equal(mat.entries, np.eye(32))
+        mat = _step_matrices(StroboParams(0.0, 0.7, 0.0), dim31)[0]
+        assert np.array_equal(mat, np.eye(32))
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_reassembly_matches_operational_step(self, seed, dim31):
         rho = random_density(31, 26, seed)
         params = StroboParams(0.62, np.pi / 5, 0.07)
-        direct = strobo_step(rho, params)
+        direct = one_period(rho, params)
         rebuilt = step_with_bands(rho, params)
         assert np.max(np.abs(rebuilt - direct.elements)) < 1e-12
 
     def test_odd_bands_vanish(self, dim31):
-        params = StroboParams(0.5, 0.8, 0.1)
+        mats = _step_matrices(StroboParams(0.5, 0.8, 0.1), dim31)
         for p in (1, 3, 9):
-            assert np.max(np.abs(build_band_matrix(p, params, dim31).entries)) == 0.0
+            assert np.max(np.abs(mats[p])) == 0.0
 
     def test_diagonal_band_preserves_trace(self, dim31):
         params = StroboParams(0.8, 1.2, 0.05)
-        a0 = build_band_matrix(0, params, dim31)
-        assert np.max(np.abs(a0.entries.sum(axis=0) - 1.0)) < 1e-12
+        a0 = _step_matrices(params, dim31)[0]
+        assert np.max(np.abs(a0.sum(axis=0) - 1.0)) < 1e-12
 
     def test_spectral_contraction(self, dim31):
-        params = StroboParams(0.4, np.pi / 6, 0.2)
+        mats = _step_matrices(StroboParams(0.4, np.pi / 6, 0.2), dim31)
         for p in range(0, 32, 4):
-            mat = build_band_matrix(p, params, dim31)
-            if mat.entries.size:
-                radius = np.max(np.abs(np.linalg.eigvals(mat.entries)))
-                assert radius <= 1.0 + 1e-10
+            radius = np.max(np.abs(np.linalg.eigvals(mats[p])))
+            assert radius <= 1.0 + 1e-10
 
-    def test_spectral_radius_validated(self):
-        with pytest.raises(ValueError):
-            BandMatrix(0, np.array([[1.5]]))
+    def test_spectral_radius_is_a_numerical_fault(self, dim31, monkeypatch):
+        real = strobo._band_entries
+
+        def band_2_grows(p, params, c):
+            return 1.5 * np.eye(c.shape[0] - p) if p == 2 else real(p, params, c)
+
+        monkeypatch.setattr(strobo, "_band_entries", band_2_grows)
+        with pytest.raises(NumericalInvariantError, match="spectral radius 1.5 of band 2"):
+            evolve_strobo(odd_cat(3.3, dim31), StroboParams(0.4, np.pi / 6, 0.2), 1)
 
 
 class TestStationaryState:
@@ -366,9 +376,14 @@ class TestStationaryState:
 
     def test_unique_unit_eigenvalue(self, dim31):
         params = StroboParams(0.4, np.pi / 2, 0.02)
-        a0 = build_band_matrix(0, params, dim31)
-        vals = np.linalg.eigvals(a0.entries)
+        vals = np.linalg.eigvals(_step_matrices(params, dim31)[0])
         assert int(np.sum(np.abs(vals - 1.0) < 1e-10)) == 1
+
+    def test_long_interval_leaves_the_vacuum(self, dim31):
+        # exp(gamma_T) overflows to inf, and pump / inf is the exact weight 0
+        rho = analytic_stationary_state(StroboParams(0.5, 0.5, 1000.0), dim31)
+        assert rho.elements[1, 1].real == 0.0
+        assert rho.elements[0, 0].real == 1.0
 
     def test_requires_dissipation(self, dim31):
         with pytest.raises(ValueError):
@@ -428,7 +443,7 @@ class TestRunSequence:
         rho = odd_cat(3.3, dim31)
         params = StroboParams(0.4, np.pi / 6, 0.1)
         for _ in range(20):
-            rho = strobo_step(rho, params)
+            rho = one_period(rho, params)
             assert abs(np.trace(rho.elements).real - 1.0) < 1e-11
             assert np.min(np.linalg.eigvalsh(rho.elements)) > -1e-9
 
@@ -452,6 +467,29 @@ class TestResonanceAngle:
             resonance_angle(0.0, 0)
         with pytest.raises(ValueError):
             resonance_angle(1.0, -1)
+
+
+_NAN = float("nan")
+_PULSES = PulsePair(10.0, 10.0, 1.0, 0.25, 0.2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StroboParams(0.5, _NAN, 0.1),
+        lambda: StroboParams(0.5, 0.5, _NAN),
+        *(
+            lambda field=field: replace(_PULSES, **{field: _NAN})
+            for field in ("g_max", "omega_max", "t_cross", "delay", "width")
+        ),
+        lambda: resonance_angle(_NAN, 0),
+        lambda: min_fidelity(QubitSpec(0, 1), 0.5, _NAN),
+    ],
+    ids=["mu", "gamma_T", "g_max", "omega_max", "t_cross", "delay", "width", "n_bar", "gamma_t"],
+)
+def test_nan_parameter_raises(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestGeneralisedProbePulses:
@@ -532,12 +570,12 @@ class TestStroboProperties:
     def test_maps_keep_trace_and_positivity(self, rho, params):
         outs = (
             feedback_atom_map(rho, params.mu),
-            feedback_superop(rho, params),
+            one_period(rho, replace(params, gamma_T=0.0)),
             dissipation_map(rho, params.gamma_T),
-            strobo_step(rho, params),
+            one_period(rho, params),
         )
         for out in outs:
-            m = density_margins(out.elements[None])
+            m = check_density(out.elements[None])
             assert m.hermiticity <= 1e-12
             assert m.trace_drift <= 1e-10
             assert m.min_eigenvalue >= -1e-10
@@ -582,10 +620,8 @@ class TestEvolveStrobo:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(params=params_drawn, dim=st.sampled_from([FockDim(15), FockDim(30), FockDim(31)]))
     def test_band_matrices_equal_the_row_loop(self, params, dim):
-        for p in range(dim.size):
-            assert np.array_equal(
-                build_band_matrix(p, params, dim).entries, band_matrix_rows(p, params, dim)
-            )
+        for p, mat in enumerate(_step_matrices(params, dim)):
+            assert np.array_equal(mat, band_matrix_rows(p, params, dim))
 
     @_PROPERTY
     @given(rho=start_states(), params=params_drawn)
@@ -683,18 +719,18 @@ class TestTruncation:
         with pytest.raises(TruncationError):
             dense_step(topped.elements, params)
         with pytest.raises(TruncationError):
-            strobo_step(topped, params)
+            one_period(topped, params)
         with pytest.raises(TruncationError):
             run_sequence(topped, params, 3)
 
     def test_without_feedback_nothing_raises(self, topped):
         params = StroboParams(0.0, 0.7, 0.05)
         oracle = dense_step(topped.elements, params)
-        assert np.max(np.abs(strobo_step(topped, params).elements - oracle)) <= 1e-12
+        assert np.max(np.abs(one_period(topped, params).elements - oracle)) <= 1e-12
         run_sequence(topped, params, 3)
 
     def test_odd_top_level_is_never_lifted(self, dim31):
         rho = DensityMatrix(np.diag(np.r_[0.5, np.zeros(30), 0.5]).astype(complex), dim31)
         params = StroboParams(0.5, 0.7, 0.05)
         oracle = dense_step(rho.elements, params)
-        assert np.max(np.abs(strobo_step(rho, params).elements - oracle)) <= 1e-12
+        assert np.max(np.abs(one_period(rho, params).elements - oracle)) <= 1e-12

@@ -12,6 +12,7 @@ from cavityfeedback import (
     DensityMatrix,
     FockDim,
     GridTooCoarseError,
+    NumericalInvariantError,
     cat_state,
     coherent_state,
     default_cartesian_grid,
@@ -176,6 +177,12 @@ class TestWignerFunction:
         tiny = CartesianGrid(np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5))
         with pytest.raises(GridTooCoarseError):
             wigner_function(rho, tiny)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns inside numpy
+    def test_overflow_is_a_numerical_fault(self):
+        vacuum = DensityMatrix.from_state(fock_superposition([(0, 1.0)], FockDim(15)))
+        with pytest.raises(NumericalInvariantError, match="finite"):
+            wigner_function(vacuum, default_cartesian_grid(1e300, 11))
 
 
 def transform_per_point(op, grid):
