@@ -223,8 +223,7 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
     final = rho * np.outer(b, b) + rho * np.outer(c, c)
     shifted = rho * np.outer(a, a)
     final[1:, 1:] += shifted[:-1, :-1]
-    final = (final + final.conj().T) / 2.0
-    return DensityMatrix.from_map(final[None], field_rho.dim)[0], f_fine, peak_e
+    return DensityMatrix.from_map(final[None], field_rho.dim), f_fine, peak_e
 
 
 def minimum_dark_overlap(pulses: PulsePair, n: int, steps: int) -> float:

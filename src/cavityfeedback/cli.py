@@ -7,23 +7,25 @@ sidecar carrying the config as given, the library version and the
 pass/fail summary of the numerical self-checks executed during the run.
 Outputs are deterministic: no wall clock, no randomness, fixed float
 formatting.  Exit codes: 0 success, 2 config validation failure,
-3 numerical invariant failure, 4 truncation failure.
+3 numerical invariant failure, 4 truncation failure.  The family of the
+error alone decides the code: `main` has one handler each for ValueError
+(a config error), NumericalInvariantError and TruncationError, and a
+ValueError of the library about an initial state reaches it as a
+ConfigError naming the key that chose the state.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, _blas
+from . import __version__
 from .adiabatic import adiabaticity_report, integrate_crossing, standard_pulses
 from .continuous import (
     ContinuousParams,
@@ -32,14 +34,7 @@ from .continuous import (
     fidelity_curve,
     fock_fidelity_analytic,
 )
-from .errors import (
-    CavityFeedbackError,
-    ConfigError,
-    GridTooCoarseError,
-    NumericalInvariantError,
-    StepTooCoarseError,
-    TruncationError,
-)
+from .errors import ConfigError, NumericalInvariantError, TruncationError
 from .fock import (
     CatParity,
     DensityMatrix,
@@ -178,24 +173,31 @@ def _check(name, value, tolerance):
     }
 
 
-def _build_state(state, dim: FockDim) -> DensityMatrix:
+def _build_state(state, dim: FockDim, prefix: str) -> DensityMatrix:
+    """The initial state of a run from a `_STATE` section whose keys carry `prefix`.
+
+    A ValueError of the library, such as an odd cat of vanishing amplitude or
+    a basis too small for the state, is a config error naming the key.
+    """
     kind = state["kind"]
-    if kind == "vacuum":
-        return DensityMatrix.from_state(fock_superposition([(0, 1.0)], dim))
+    key = prefix + ("terms" if kind == "fock" else "alpha2")
     if kind == "fock":
         for n, _, _ in state["terms"]:
             if n > dim.n_max:
-                raise ConfigError("state.terms", f"Fock index {n} outside [0, {dim.n_max}]")
-        try:
+                raise ConfigError(key, f"Fock index {n} outside [0, {dim.n_max}]")
+    try:
+        if kind == "vacuum":
+            vec = fock_superposition([(0, 1.0)], dim)
+        elif kind == "fock":
             vec = fock_superposition([(n, complex(re, im)) for n, re, im in state["terms"]], dim)
-        except ValueError as exc:
-            raise ConfigError("state.terms", str(exc)) from None
-        return DensityMatrix.from_state(vec)
-    alpha = np.sqrt(state["alpha2"])
-    if kind == "coherent":
-        return DensityMatrix.from_state(coherent_state(alpha, dim))
-    parity = CatParity.ODD if kind == "cat-odd" else CatParity.EVEN
-    return DensityMatrix.from_state(cat_state(alpha, parity, dim))
+        elif kind == "coherent":
+            vec = coherent_state(np.sqrt(state["alpha2"]), dim)
+        else:
+            parity = CatParity.ODD if kind == "cat-odd" else CatParity.EVEN
+            vec = cat_state(np.sqrt(state["alpha2"]), parity, dim)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+    return DensityMatrix.from_state(vec)
 
 
 def _time_grid(cfg):
@@ -216,7 +218,7 @@ def cmd_fidelity_cat(cfg):
     times = _time_grid(cfg)
     dim = FockDim(cfg["dim"])
 
-    rho0 = DensityMatrix.from_state(cat_state(np.sqrt(alpha2), parity, dim))
+    rho0 = _build_state({"kind": f"cat-{cfg['parity']}", "alpha2": alpha2}, dim, "")
     columns = {}
     worst_trace = 0.0
     for eta in etas:
@@ -262,7 +264,7 @@ def cmd_fidelity_fock(cfg):
 
 def cmd_wigner(cfg):
     dim = FockDim(cfg["dim"])
-    rho = _build_state(cfg["state"], dim)
+    rho = _build_state(cfg["state"], dim, "state.")
     evo = cfg["evolution"]
     if evo["kind"] == "continuous":
         rho = evolve_continuous(rho, ContinuousParams(1.0, evo["eta"]), evo["gamma_t"])
@@ -303,7 +305,7 @@ def cmd_strobo_pe(cfg):
         raise ConfigError("gamma_t", f"gamma_t / gamma_T is {periods:g} in a set, not below {_MAX_PERIODS}")
     dim = FockDim(cfg["dim"])
 
-    rho0 = DensityMatrix.from_state(cat_state(np.sqrt(alpha2), CatParity.ODD, dim))
+    rho0 = _build_state({"kind": "cat-odd", "alpha2": alpha2}, dim, "")
     runs = []
     stationary = []
     worst_nofb = None
@@ -377,7 +379,7 @@ def cmd_qubit_protect(cfg):
 def cmd_adiabatic(cfg):
     areas = cfg["areas"]
     dim = FockDim(cfg["dim"])
-    rho = _build_state(cfg["state"], dim)
+    rho = _build_state(cfg["state"], dim, "state.")
 
     rows = []
     for area in areas:
@@ -571,28 +573,6 @@ def _resolve(command: str, args) -> dict:
     return cfg
 
 
-def _thread_cap():
-    """Context that caps this process's OpenBLAS pools at $THREADS while it is open.
-
-    A malformed or non-positive value is a config error.  Where no OpenBLAS
-    pool is found the cap cannot be applied, which is said on stderr; results
-    do not depend on it either way.  The continuous band core still runs on
-    one thread inside the cap.
-    """
-    raw = os.environ.get("THREADS")
-    if not raw:
-        return contextlib.nullcontext()
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError("THREADS", f"expected a positive integer, got {raw!r}")
-    if not _blas.pools():
-        print(f"THREADS={count} not applied: no OpenBLAS pool was found", file=sys.stderr)
-    return _blas.threads(count)
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -602,25 +582,18 @@ def main(argv=None) -> int:
         out_path = Path(args.out)
         if out_path.suffix != ".csv":
             raise ConfigError("out", "output path must end in .csv")
-        with _thread_cap():
-            header, rows, checks, extras = run(values)
+        header, rows, checks, extras = run(values)
         sidecar = _write_outputs(out_path, args.command, cfg, header, rows, checks, extras)
         if not sidecar["all_invariants_passed"]:
             failed = [c["name"] for c in checks if not c["passed"]]
             print(f"invariant check failed: {', '.join(failed)}", file=sys.stderr)
             return 3
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except TruncationError as exc:
         print(f"truncation failure: {exc}", file=sys.stderr)
         return 4
-    except (GridTooCoarseError, StepTooCoarseError, NumericalInvariantError) as exc:
+    except NumericalInvariantError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except CavityFeedbackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

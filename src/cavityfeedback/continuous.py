@@ -114,6 +114,14 @@ def _check_top_population(rho: DensityMatrix):
         )
 
 
+def _check_rate_and_time(gamma: float, t: float):
+    """ValueError unless gamma > 0 and t >= 0; negated comparisons, so that NaN fails too."""
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+
+
 def _uniform_steps(times) -> tuple:
     """Spacing and step count of a uniform time grid starting at 0."""
     times = np.asarray(times, dtype=float)
@@ -144,12 +152,11 @@ def evolve_continuous(rho0: DensityMatrix, params: ContinuousParams, t: float) -
     Trace is conserved exactly on the truncated basis, Hermiticity by
     construction; for eta = 1 the populations are constants of motion.
     """
-    if t < 0:
+    if not t >= 0:  # negated, so that NaN fails too
         raise ValueError("t must be >= 0; negative times are not time-reversed")
     _check_top_population(rho0)
     out = evolve_operator(rho0.elements, params.eta, params.gamma * t)
-    out = (out + out.conj().T) / 2.0
-    return DensityMatrix.from_map(out[None], rho0.dim)[0]
+    return DensityMatrix.from_map(out[None], rho0.dim)
 
 
 class FidelityCurve(NamedTuple):
@@ -184,21 +191,19 @@ def ideal_offdiagonal_decay(rho0: DensityMatrix, gamma: float, t: float) -> Dens
     Each element picks up exp(-(gamma t / 2) (sqrt(n) - sqrt(m))^2); the
     populations are untouched.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_rate_and_time(gamma, t)
     n = np.arange(rho0.dim.size, dtype=float)
     root = np.sqrt(n)
     factor = np.exp(-0.5 * gamma * t * (root[:, None] - root[None, :]) ** 2)
-    return DensityMatrix(rho0.elements * factor, rho0.dim)
+    return DensityMatrix.from_map((rho0.elements * factor)[None], rho0.dim)
 
 
 def standard_phase_diffusion(rho0: DensityMatrix, gamma: float, t: float) -> DensityMatrix:
     """Conventional phase diffusion: exp(-(gamma t / 2) (n - m)^2) per element."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_rate_and_time(gamma, t)
     n = np.arange(rho0.dim.size, dtype=float)
     factor = np.exp(-0.5 * gamma * t * (n[:, None] - n[None, :]) ** 2)
-    return DensityMatrix(rho0.elements * factor, rho0.dim)
+    return DensityMatrix.from_map((rho0.elements * factor)[None], rho0.dim)
 
 
 def cat_fidelity_analytic(alpha2: float, parity: CatParity, gamma: float, t: float) -> float:
@@ -208,10 +213,9 @@ def cat_fidelity_analytic(alpha2: float, parity: CatParity, gamma: float, t: flo
     decayed state with the initial one factorises into an interference weight,
     an amplitude-shrinkage Gaussian and a parity-projection ratio.
     """
-    if alpha2 <= 0:
+    if not alpha2 > 0:
         raise ValueError("alpha2 must be positive")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_rate_and_time(gamma, t)
     s = parity.sign
     e1 = np.exp(-gamma * t)
     eh = np.exp(-gamma * t / 2.0)
@@ -237,6 +241,8 @@ def fock_fidelity_analytic(
     """
     if not (m > n >= 0):
         raise ValueError("need m > n >= 0")
+    if not t >= 0:
+        raise ValueError("t must be >= 0")
     if abs(abs_alpha2 + abs_beta2 - 1.0) > 1e-10:
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     a2, b2 = abs_alpha2, abs_beta2
@@ -263,8 +269,7 @@ def mean_amplitude_ideal(rho0: DensityMatrix, gamma: float, t: float) -> complex
     summing gives the exact counterpart of the semiclassical slow decay
     exp(-gamma t / (8 nbar)).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_rate_and_time(gamma, t)
     n = np.arange(rho0.dim.size - 1, dtype=float)
     sub = np.diagonal(rho0.elements, offset=-1)
     factors = np.exp(-0.5 * gamma * t * (np.sqrt(n + 1.0) - np.sqrt(n)) ** 2)

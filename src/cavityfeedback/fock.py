@@ -4,8 +4,10 @@ Everything downstream (feedback evolution, Wigner transforms, stroboscopic
 maps) works on the types defined here.  All types are immutable after
 construction and every constructor validates its invariants, so a state that
 exists is a state that is safe to use.  Density-matrix invariants have one
-validator, `check_density`, which checks a whole stack of matrices in one pass;
-`DensityMatrix` runs it on its input and maps run it on their output.
+validator, `check_density`, which checks a whole stack of matrices in one pass.
+`DensityMatrix` runs it on its input, where a violation is a ValueError.  Every
+map hands its output to one checked constructor, `DensityMatrix.from_map`,
+where a violation is a fault of the map and a NumericalInvariantError.
 """
 from __future__ import annotations
 
@@ -168,11 +170,12 @@ class DensityMatrix:
         object.__setattr__(self, "elements", _freeze(mat))
 
     @classmethod
-    def from_map(cls, stack: np.ndarray, dim: FockDim) -> list:
-        """States a map produced, as a (T, n, n) stack checked in one pass.
+    def from_map(cls, stack: np.ndarray, dim: FockDim) -> "DensityMatrix":
+        """The last state of a (T, n, n) stack a map produced, every state checked in one pass.
 
         A violated invariant here is a fault of the map, not of its input, so
-        it raises NumericalInvariantError.
+        it raises NumericalInvariantError.  The state owns a copy of its
+        matrix: a read-only view would still change with the stack it shows.
         """
         stack = np.asarray(stack, dtype=complex)
         if stack.ndim != 3 or stack.shape[1:] != (dim.size, dim.size):
@@ -180,13 +183,10 @@ class DensityMatrix:
                 f"expected a stack of {dim.size}x{dim.size} matrices, got shape {stack.shape}"
             )
         check_density(stack, NumericalInvariantError)
-        states = []
-        for mat in stack:
-            state = object.__new__(cls)
-            object.__setattr__(state, "elements", _freeze(mat))
-            object.__setattr__(state, "dim", dim)
-            states.append(state)
-        return states
+        state = object.__new__(cls)
+        object.__setattr__(state, "elements", _freeze(stack[-1].copy()))
+        object.__setattr__(state, "dim", dim)
+        return state
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":

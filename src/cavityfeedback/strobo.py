@@ -171,7 +171,7 @@ def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> Stro
                     f"population {top:.3e} on the top Fock level would be pushed out of "
                     "the basis by the feedback atom; enlarge the basis"
                 )
-        state = DensityMatrix.from_map(stack[1:], dim)[-1]
+        state = DensityMatrix.from_map(stack[1:], dim)
         # a copy: a view of the diagonal would keep the whole chunk alive
         populations[start + 1 : start + len(stack)] = stack[1:].diagonal(0, 1, 2).real
         mat = stack[-1]
@@ -195,7 +195,7 @@ def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
         raise NumericalInvariantError("no eigenvalue of the step matrix lies at 1")
     vec = np.real(vecs[:, int(np.argmax(at_one))])
     vec = vec / np.sum(vec)
-    return DensityMatrix.from_map(np.diag(vec.astype(complex))[None], dim)[0]
+    return DensityMatrix.from_map(np.diag(vec.astype(complex))[None], dim)
 
 
 def analytic_stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
@@ -211,7 +211,7 @@ def analytic_stationary_state(params: StroboParams, dim: FockDim) -> DensityMatr
     diag = np.zeros(dim.size, dtype=complex)
     diag[0] = 1.0 - w1
     diag[1] = w1
-    return DensityMatrix(np.diag(diag), dim)
+    return DensityMatrix.from_map(np.diag(diag)[None], dim)
 
 
 def p_ee_analytic(alpha2: float, gamma_T_total: float) -> float:
@@ -220,9 +220,9 @@ def p_ee_analytic(alpha2: float, gamma_T_total: float) -> float:
     Closed form for pure dissipation: unity at zero delay, decaying through
     the parity of the damped cat state.
     """
-    if alpha2 <= 0:
+    if not alpha2 > 0:  # negated, so that NaN fails too
         raise ValueError("alpha2 must be positive")
-    if gamma_T_total < 0:
+    if not gamma_T_total >= 0:
         raise ValueError("gamma_T_total must be >= 0")
     decay = np.exp(-gamma_T_total)
     num = np.exp(-2.0 * alpha2 * decay) - np.exp(-2.0 * alpha2 * (1.0 - decay))

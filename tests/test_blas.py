@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -74,7 +75,7 @@ def test_band_core_runs_on_one_thread(rho0, monkeypatch):
 
     monkeypatch.setattr(continuous, "expm", spy)
     before = counts()
-    with _blas.threads(2):  # the cap THREADS=2 applies around a command
+    with _blas.threads(2):  # as OPENBLAS_NUM_THREADS=2 would set the pools
         continuous.fidelity_curve(rho0, ContinuousParams(1.0, 0.5), np.linspace(0.0, 1.0, 6))
         assert counts() == [2] * len(before)
     assert counts() == before
@@ -119,18 +120,15 @@ def test_no_pool_is_a_no_op(monkeypatch):
         ),
     ],
 )
-def test_outputs_identical_across_thread_caps(args, cfg, tmp_path, monkeypatch):
+def test_outputs_identical_across_thread_caps(args, cfg, tmp_path):
     if cfg is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         args = args + ["--config", tmp_path / "cfg.json"]
     outputs = {}
-    for threads in (None, "1", "2"):
-        if threads is None:
-            monkeypatch.delenv("THREADS", raising=False)
-        else:
-            monkeypatch.setenv("THREADS", threads)
+    for threads in (None, 1, 2):
         out = tmp_path / f"out_{threads}.csv"
-        assert main([str(a) for a in args + ["--out", out]]) == 0
+        with contextlib.nullcontext() if threads is None else _blas.threads(threads):
+            assert main([str(a) for a in args + ["--out", out]]) == 0
         outputs[threads] = (out.read_bytes(), out.with_suffix(".json").read_bytes())
-    assert outputs["1"] == outputs[None]
-    assert outputs["2"] == outputs[None]
+    assert outputs[1] == outputs[None]
+    assert outputs[2] == outputs[None]

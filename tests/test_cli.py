@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cavityfeedback
-import cavityfeedback._blas as _blas
 import cavityfeedback.cli as cli
 import cavityfeedback.continuous as continuous
+import cavityfeedback.errors as errors
 import cavityfeedback.strobo as strobo
-from cavityfeedback import NumericalInvariantError
+from cavityfeedback import ConfigError, NumericalInvariantError, TruncationError
 from cavityfeedback.cli import main
-from conftest import fake_pool
 
 
 def run_cli(args):
@@ -295,9 +294,36 @@ class TestDeterminismAndEcho:
         assert not (tmp_path / "cat.csv").exists()
 
 
+# every error class of the library but the base, and the exit code of its family
+_FAMILIES = {ValueError: 2, NumericalInvariantError: 3, TruncationError: 4}
+_LIBRARY_ERRORS = [
+    c for c in vars(errors).values()
+    if isinstance(c, type) and issubclass(c, errors.CavityFeedbackError) and c is not errors.CavityFeedbackError
+]
+
+
+def test_errors_fall_in_one_family():
+    # the family alone picks the exit code, so no library error can reach
+    # `main` outside its three handlers and end in a traceback (exit 1)
+    assert len(_LIBRARY_ERRORS) == 10
+    for cls in _LIBRARY_ERRORS:
+        assert sum(issubclass(cls, family) for family in _FAMILIES) == 1, cls
+
+
 class TestFailureClasses:
     # what each command's map is built from; the test scales it by 1.01
     MAP_INPUTS = {"strobo-pe": (strobo, "_kraus_log_table")}
+
+    @pytest.mark.parametrize("cls", _LIBRARY_ERRORS, ids=lambda cls: cls.__name__)
+    def test_each_error_exits_by_its_family(self, cls, tmp_path, monkeypatch, capsys):
+        def fails(cfg):
+            raise cls("qubit-protect", "raised") if cls is ConfigError else cls("raised")
+
+        monkeypatch.setitem(cli._COMMANDS, "qubit-protect", (fails, cli._COMMANDS["qubit-protect"][1]))
+        expected = next(code for family, code in _FAMILIES.items() if issubclass(cls, family))
+        assert run_cli(["qubit-protect", "--out", tmp_path / "q.csv"]) == expected
+        prefix = {2: "config error", 3: "numerical failure", 4: "truncation failure"}[expected]
+        assert capsys.readouterr().err.startswith(f"{prefix}: ")
 
     @pytest.mark.parametrize(
         "args",
@@ -413,42 +439,6 @@ class TestConfigTypes:
         args = [command, "--config", tmp_path / "cfg.json", "--out", tmp_path / "out.csv"]
         assert run_cli(args) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
-
-
-class TestThreads:
-    ARGS = ["fidelity-fock", "--steps", 3, "--eta", "0.5"]
-
-    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
-    def test_bad_value_exits_2(self, value, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("THREADS", value)
-        assert run_cli(self.ARGS + ["--out", tmp_path / "f.csv"]) == 2
-        assert "config error: THREADS" in capsys.readouterr().err
-
-    def test_cap_without_threadpoolctl_is_reported(self, tmp_path, monkeypatch, capsys):
-        # the cap needs no threadpoolctl; where no OpenBLAS pool is found it
-        # cannot be applied, which is said once, and the outputs do not change
-        monkeypatch.delenv("THREADS", raising=False)
-        assert run_cli(self.ARGS + ["--out", tmp_path / "a.csv"]) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("THREADS", "2")
-        monkeypatch.setattr(_blas, "pools", lambda: ())
-        assert run_cli(self.ARGS + ["--out", tmp_path / "b.csv"]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["THREADS=2 not applied: no OpenBLAS pool was found"]
-        for suffix in (".csv", ".json"):
-            a = (tmp_path / "a").with_suffix(suffix).read_bytes()
-            assert a == (tmp_path / "b").with_suffix(suffix).read_bytes()
-
-    def test_cap_applied_and_released(self, tmp_path, monkeypatch, capsys):
-        events = []
-        found = (fake_pool(4, events),)
-        monkeypatch.setattr(_blas, "pools", lambda: found)
-        monkeypatch.setenv("THREADS", "2")
-        assert run_cli(self.ARGS + ["--out", tmp_path / "f.csv"]) == 0
-        # THREADS sets the pool to 2, the band core runs on 1 inside that and
-        # puts the 2 back, and the cap then puts back the 4 it found
-        assert events == [2, 1, 2, 4]
-        assert capsys.readouterr().err == ""
 
 
 def reference_csv(header, rows) -> str:
@@ -609,7 +599,10 @@ class TestUndersizedBasis:
         # the user chose a basis too small for the requested state
         assert run_cli(["wigner", "--alpha2", 20, "--dim", 63, "--out", tmp_path / "w.csv"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "enlarge the basis" in err
+        assert err.startswith("config error: state.alpha2: ") and "enlarge the basis" in err
+        assert run_cli(["fidelity-cat", "--alpha2", 20, "--dim", 63, "--out", tmp_path / "c.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: alpha2: ") and "enlarge the basis" in err
 
 
 def run_captured(args):
@@ -680,7 +673,7 @@ _ODD_VALUES = [
     None, True, False, "", "0.5", "nan", "x", [], [[0.5]], {},
     math.nan, math.inf, -math.inf, 10**30, -10**30, 1e300, -1e300, -1, 0,
 ]
-# the undersized-basis message is the library's own and names no key
+# the undersized-basis message names alpha2, also when dim is the value that changed
 _BASIS_KEYS = {"alpha2", "state.alpha2", "dim"}
 
 
@@ -778,6 +771,11 @@ class TestConfigTable:
             ("strobo-pe", {"sets": [[0.1, "nan"]]}, [], "sets"),
             ("fidelity-cat", {}, ["--eta", "abc"], "eta"),
             ("adiabatic", {"n_bar": math.nan}, [], "n_bar"),
+            # an odd cat of vanishing amplitude is a bad config, not a numerical failure
+            ("fidelity-cat", {}, ["--alpha2", 1e-20], "alpha2"),
+            ("strobo-pe", {}, ["--alpha2", 1e-20], "alpha2"),
+            ("wigner", {}, ["--alpha2", 1e-20], "state.alpha2"),
+            ("adiabatic", {"state": {"kind": "cat-odd", "alpha2": 1e-20}}, [], "state.alpha2"),
         ],
     )
     def test_reproduced_case_exits_2_naming_its_key(self, command, cfg, flags, key, tmp_path):

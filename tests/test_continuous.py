@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import cavityfeedback.continuous as continuous
 from cavityfeedback import (
     CatParity,
     ContinuousParams,
     DensityMatrix,
     FockDim,
+    NumericalInvariantError,
     TruncationError,
     cat_fidelity_analytic,
     cat_state,
@@ -23,6 +25,7 @@ from cavityfeedback import (
     fock_superposition,
     ideal_offdiagonal_decay,
     mean_amplitude_ideal,
+    p_ee_analytic,
     standard_phase_diffusion,
 )
 from cavityfeedback.continuous import _band_propagator, _propagate, _uniform_steps
@@ -193,6 +196,52 @@ class TestClosedFormMaps:
         slow = ideal_offdiagonal_decay(rho0, 1.0, 0.7)
         fast = standard_phase_diffusion(rho0, 1.0, 0.7)
         assert np.all(np.abs(slow.elements) >= np.abs(fast.elements) - 1e-15)
+
+
+    @pytest.mark.parametrize("closed_form", [ideal_offdiagonal_decay, standard_phase_diffusion])
+    def test_faulty_output_is_numerical(self, closed_form, monkeypatch):
+        # a decay factor 1% too large breaks the trace of the output: a fault
+        # of the map, not of its arguments
+        rho0 = random_density(15, 12, seed=3)
+        real = np.exp
+        monkeypatch.setattr(np, "exp", lambda x: 1.01 * real(x))
+        with pytest.raises(NumericalInvariantError, match="trace"):
+            closed_form(rho0, 1.0, 0.5)
+
+
+_NAN = float("nan")
+_RHO = random_density(7, 5, seed=0)
+_PARAMS = ContinuousParams(1.0, 0.5)
+_RATE_MAPS = (ideal_offdiagonal_decay, standard_phase_diffusion, mean_amplitude_ideal)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [(evolve_continuous, (_RHO, _PARAMS, t)) for t in (_NAN, -1.0)]
+    + [
+        (fn, (_RHO, gamma, t))
+        for fn in _RATE_MAPS
+        for gamma, t in ((_NAN, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, _NAN), (1.0, -1.0))
+    ]
+    + [
+        (cat_fidelity_analytic, (alpha2, CatParity.ODD, gamma, t))
+        for alpha2, gamma, t in ((_NAN, 1.0, 1.0), (0.0, 1.0, 1.0), (5.0, _NAN, 1.0), (5.0, 0.0, 1.0),
+                                 (5.0, 1.0, _NAN), (5.0, 1.0, -1.0))
+    ]
+    + [(fock_fidelity_analytic, (1 / 3, 2 / 3, 2, 4, _PARAMS, t)) for t in (_NAN, -1.0)]
+    + [(p_ee_analytic, args) for args in ((_NAN, 1.0), (0.0, 1.0), (3.3, _NAN), (3.3, -1.0))],
+)
+def test_bad_argument_is_a_value_error_before_any_work(fn, args, monkeypatch):
+    # comparisons are negated so that NaN fails them; a NaN let through would
+    # fail the output check as a NumericalInvariantError (CLI exit 3), and a
+    # negative gamma would amplify the coherences
+    def no_work(*_):
+        raise AssertionError("the map ran on a bad argument")
+
+    monkeypatch.setattr(np, "exp", no_work)
+    monkeypatch.setattr(continuous, "expm", no_work)
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 class TestCatFidelityAnalytic:
@@ -370,7 +419,7 @@ class TestFidelityCurveProperties:
     def test_matches_dense_states(self, rho0, eta, times):
         params = ContinuousParams(1.0, eta)
         curve = fidelity_curve(rho0, params, times)
-        states = DensityMatrix.from_map(grid_stack(rho0, eta, times), rho0.dim)
+        states = [DensityMatrix(m, rho0.dim) for m in grid_stack(rho0, eta, times)]
         dense = [fidelity(rho0, s) for s in states]
         assert np.max(np.abs(curve.fidelity - dense)) <= 1e-12
         assert curve.margins.trace_drift <= 1e-10

@@ -98,7 +98,7 @@ def dense_step(arr, params):
 def feedback_atom_map(rho, mu):
     """Resonant feedback atom acting unconditionally on the field."""
     out = _feedback_atom_elements(np.asarray(rho.elements), mu)
-    return DensityMatrix.from_map(out[None], rho.dim)[0]
+    return DensityMatrix.from_map(out[None], rho.dim)
 
 
 def dissipation_map(rho, gamma_T):
@@ -106,7 +106,7 @@ def dissipation_map(rho, gamma_T):
     if gamma_T < 0:
         raise ValueError("gamma_T must be >= 0")
     out = _dissipation_elements(np.asarray(rho.elements), gamma_T)
-    return DensityMatrix.from_map(out[None], rho.dim)[0]
+    return DensityMatrix.from_map(out[None], rho.dim)
 
 
 def band_matrix_rows(p, params, dim):
@@ -388,6 +388,15 @@ class TestStationaryState:
     def test_requires_dissipation(self, dim31):
         with pytest.raises(ValueError):
             stationary_state(StroboParams(1.0, np.pi / 2, 0.0), dim31)
+
+    def test_faulty_closed_form_is_numerical(self, dim31, monkeypatch):
+        # exp(gamma_T) - 1 of the wrong sign puts a weight above 1 on one
+        # photon and a negative one on the vacuum: a fault of the closed
+        # form's output, not of its parameters
+        real = np.expm1
+        monkeypatch.setattr(np, "expm1", lambda x: -real(x))
+        with pytest.raises(NumericalInvariantError, match="eigenvalue"):
+            analytic_stationary_state(StroboParams(1.0, np.pi / 2, 0.1), dim31)
 
     def test_broken_fixed_point_is_numerical(self, dim31, monkeypatch):
         # flipping the one-photon component of every eigenvector leaves a
