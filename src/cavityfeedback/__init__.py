@@ -28,19 +28,7 @@ from .continuous import (
     mean_amplitude_ideal,
     standard_phase_diffusion,
 )
-from .errors import (
-    CavityFeedbackError,
-    ConfigError,
-    DegenerateCatError,
-    DegenerateError,
-    DimMismatchError,
-    GridTooCoarseError,
-    NonUniqueFixedPointError,
-    NumericalInvariantError,
-    StepTooCoarseError,
-    TruncationError,
-    UnboundedError,
-)
+from .errors import ConfigError, NumericalInvariantError, TruncationError
 from .fock import (
     CatParity,
     DensityMatrix,

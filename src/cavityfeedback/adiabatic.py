@@ -29,11 +29,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateError, StepTooCoarseError, TruncationError
+from .errors import NumericalInvariantError, TruncationError
 from .fock import DensityMatrix
 
 _FIDELITY_STEP_TOL = 1e-6
 _TOP_POPULATION_TOL = 1e-10
+_TIMESCALE_FACTOR = 10.0  # a ">>" of the timescale chain means a ratio above this
 
 
 _GAUSS_COEF = float(np.log(2.0))
@@ -94,7 +95,7 @@ def dark_state(n: int, g, omega) -> np.ndarray:
     big_g = g * np.sqrt(n + 1.0)
     norm2 = big_g**2 + omega**2
     if np.any(norm2 <= 0.0):
-        raise DegenerateError("dark state undefined when both couplings vanish")
+        raise ValueError("dark state undefined when both couplings vanish")
     return np.stack((big_g, np.zeros_like(big_g), omega)) / np.sqrt(norm2)
 
 
@@ -196,7 +197,7 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
     """Drive one atom through the crossing; atom starts in its first ground state.
 
     Returns (final_field, transfer_fidelity, max_excited_population).  The
-    integration is repeated at twice the step count; StepTooCoarseError is
+    integration is repeated at twice the step count; NumericalInvariantError is
     raised when that changes the transfer fidelity by more than 1e-6, and the
     finer result is returned otherwise.
     """
@@ -216,7 +217,7 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
     f_coarse = _transfer_fidelity(rho, coarse[:, 2])
     f_fine = _transfer_fidelity(rho, fine[:, 2])
     if abs(f_fine - f_coarse) > _FIDELITY_STEP_TOL:
-        raise StepTooCoarseError(
+        raise NumericalInvariantError(
             f"transfer fidelity moved by {abs(f_fine - f_coarse):.3e} under step halving"
         )
     b, c, a = fine[:, 0], fine[:, 1], fine[:, 2]
@@ -256,13 +257,12 @@ def adiabaticity_report(
     n_bar: float,
     gamma: float,
     gamma_e: float,
-    factor: float = 10.0,
 ) -> tuple:
     """Evaluate the timescale chain omega_max, g_max >> 1/t_cross >> n_bar gamma, gamma_e.
 
     The crossing must be slow against both peak couplings yet fast against
     photon loss and spontaneous emission.  Returns one `InequalityCheck` per
-    link; a ratio strictly above `factor` passes, exact equality is only
+    link; a ratio strictly above 10 passes, exact equality is only
     marginal.
     """
     if not (n_bar > 0 and gamma > 0 and gamma_e > 0):  # NaN fails too
@@ -276,11 +276,11 @@ def adiabaticity_report(
     )
     checks = []
     for name, ratio in entries:
-        if ratio > factor:
+        if ratio > _TIMESCALE_FACTOR:
             status = "pass"
-        elif ratio == factor:
+        elif ratio == _TIMESCALE_FACTOR:
             status = "marginal"
         else:
             status = "fail"
-        checks.append(InequalityCheck(name, float(ratio), factor, status))
+        checks.append(InequalityCheck(name, float(ratio), _TIMESCALE_FACTOR, status))
     return tuple(checks)

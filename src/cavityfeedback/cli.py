@@ -181,10 +181,6 @@ def _build_state(state, dim: FockDim, prefix: str) -> DensityMatrix:
     """
     kind = state["kind"]
     key = prefix + ("terms" if kind == "fock" else "alpha2")
-    if kind == "fock":
-        for n, _, _ in state["terms"]:
-            if n > dim.n_max:
-                raise ConfigError(key, f"Fock index {n} outside [0, {dim.n_max}]")
     try:
         if kind == "vacuum":
             vec = fock_superposition([(0, 1.0)], dim)

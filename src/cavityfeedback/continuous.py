@@ -47,8 +47,8 @@ class ContinuousParams:
     eta: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:  # negated, so that NaN fails too
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
@@ -115,11 +115,11 @@ def _check_top_population(rho: DensityMatrix):
 
 
 def _check_rate_and_time(gamma: float, t: float):
-    """ValueError unless gamma > 0 and t >= 0; negated comparisons, so that NaN fails too."""
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    """ValueError unless 0 < gamma < inf and 0 <= t < inf; negated, so that NaN fails too."""
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
 
 
 def _uniform_steps(times) -> tuple:
@@ -127,6 +127,8 @@ def _uniform_steps(times) -> tuple:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
+    if not np.isfinite(times).all():
+        raise ValueError("time grid must be finite")
     if times[0] != 0.0:
         raise ValueError("time grid must start at 0")
     if times.size == 1:
@@ -152,8 +154,8 @@ def evolve_continuous(rho0: DensityMatrix, params: ContinuousParams, t: float) -
     Trace is conserved exactly on the truncated basis, Hermiticity by
     construction; for eta = 1 the populations are constants of motion.
     """
-    if not t >= 0:  # negated, so that NaN fails too
-        raise ValueError("t must be >= 0; negative times are not time-reversed")
+    if not 0 <= t < np.inf:  # negated, so that NaN fails too
+        raise ValueError("t must be finite and >= 0; negative times are not time-reversed")
     _check_top_population(rho0)
     out = evolve_operator(rho0.elements, params.eta, params.gamma * t)
     return DensityMatrix.from_map(out[None], rho0.dim)

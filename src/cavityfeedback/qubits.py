@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnboundedError
+from .errors import NumericalInvariantError
+
+_THRESHOLD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,12 @@ def optimal_n(eta: float) -> int:
     """Photon number minimising the small-time worst-case decay rate.
 
     Ties break toward the smaller photon number.  Diverges as eta -> 1, so
-    exactly eta = 1 raises UnboundedError.
+    exactly eta = 1 raises ValueError.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     if eta == 1.0:
-        raise UnboundedError("for eta = 1 the optimum grows without bound")
+        raise ValueError("for eta = 1 the optimum grows without bound")
     # objective is unimodal in s and s(n) ~ 4n, so the optimum sits near
     # s = (1 - eta)^(-1/2); scan a comfortable margin around it
     n_hint = approx_n_opt(eta)
@@ -83,12 +85,12 @@ def approx_n_opt(eta: float) -> float:
     return float((s - 1.0) ** 2 / (4.0 * s))
 
 
-def threshold_eta(tol: float = 1e-12) -> float:
-    """Efficiency where the optimal photon number first leaves 0, by bisection."""
+def threshold_eta() -> float:
+    """Efficiency where the optimal photon number first leaves 0, by bisection to 1e-12."""
     lo, hi = 0.0, 0.99
     if optimal_n(hi) == 0:
-        raise RuntimeError("bisection bracket failed")
-    while hi - lo > tol:
+        raise NumericalInvariantError("bisection bracket failed")
+    while hi - lo > _THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if optimal_n(mid) >= 1:
             hi = mid

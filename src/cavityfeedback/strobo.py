@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .continuous import _propagate
-from .errors import NonUniqueFixedPointError, NumericalInvariantError, TruncationError
+from .errors import NumericalInvariantError, TruncationError
 from .fock import DensityMatrix, FockDim
 
 _TOP_POPULATION_TOL = 1e-10
@@ -54,10 +54,10 @@ class StroboParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not self.mu >= 0:  # negated, so that NaN fails too
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if not self.gamma_T >= 0:
-            raise ValueError(f"gamma_T must be >= 0, got {self.gamma_T}")
+        if not 0 <= self.mu < np.inf:  # negated, so that NaN fails too
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        if not 0 <= self.gamma_T < np.inf:
+            raise ValueError(f"gamma_T must be finite and >= 0, got {self.gamma_T}")
 
 
 def _kraus_log_table(n_dim: int, gamma_T: float) -> np.ndarray:
@@ -190,7 +190,7 @@ def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
     at_one = np.abs(vals - 1.0) < 1e-10
     count = int(np.sum(at_one))
     if count > 1:
-        raise NonUniqueFixedPointError(f"{count} eigenvalues within 1e-10 of 1")
+        raise NumericalInvariantError(f"{count} eigenvalues within 1e-10 of 1")
     if count == 0:
         raise NumericalInvariantError("no eigenvalue of the step matrix lies at 1")
     vec = np.real(vecs[:, int(np.argmax(at_one))])
@@ -242,13 +242,14 @@ def run_sequence(rho0: DensityMatrix, params: StroboParams, steps: int) -> Detec
 
     Before each of the `steps` periods the e/g probabilities of the current
     state are recorded (the statistics of the probe atom about to fly), then
-    one full period is applied.  A step whose two probabilities miss 1 by
+    one full period is applied; the last period, whose outcome is never
+    recorded, is not stepped.  A step whose two probabilities miss 1 by
     more than 1e-10 is a fault of the computation and raises
     NumericalInvariantError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    populations = evolve_strobo(rho0, params, steps).populations[:steps]
+    populations = evolve_strobo(rho0, params, steps - 1).populations
     odd = np.arange(rho0.dim.size) % 2
     # summed as complex numbers, as the trace of the parity-projected state
     # sums them, so that each probability is that trace to the last bit

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import GridTooCoarseError, NumericalInvariantError
+from .errors import NumericalInvariantError
 from .fock import DensityMatrix
 
 _QUAD_HARD_TOL = 1e-2
@@ -171,13 +171,13 @@ def _transform(op: np.ndarray, grid, source_digest: str, expected_integral: floa
         kind, ax1, ax2 = "polar", grid.r, grid.theta
         values = _transform_points(op, *np.meshgrid(ax1, ax2, indexing="ij"))
     else:
-        raise TypeError(f"unsupported grid type {type(grid).__name__}")
+        raise ValueError(f"unsupported grid type {type(grid).__name__}")
     integral = _quadrature(kind, grid, values)
     # quadrature residual judged against the operator's overall size, which
     # is 1 for density matrices and larger for generator images
     scale = max(1.0, float(np.sum(np.abs(np.linalg.eigvalsh((op + op.conj().T) / 2.0)))))
     if abs(integral - expected_integral) > _QUAD_HARD_TOL * scale:
-        raise GridTooCoarseError(
+        raise NumericalInvariantError(
             f"quadrature gave {integral:.6f}, expected {expected_integral:.6f} "
             f"to within {_QUAD_HARD_TOL * scale:.3g}; grid too coarse or too small"
         )
@@ -189,7 +189,7 @@ def wigner_function(rho: DensityMatrix, grid) -> WignerGrid:
 
     The point at the origin equals (2/pi) times the parity expectation; a
     coherent state gives the Gaussian (2/pi) exp(-2 |beta - alpha|^2).
-    Raises GridTooCoarseError when the grid quadrature misses the unit
+    Raises NumericalInvariantError when the grid quadrature misses the unit
     normalisation by more than 1e-2.
     """
     return _transform(np.asarray(rho.elements), grid, rho.digest(), 1.0)

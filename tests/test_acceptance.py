@@ -84,7 +84,7 @@ def test_04_fock_superposition_fidelity_family(dim63):
 
 
 def test_05_qubit_threshold_location():
-    found = cf.threshold_eta(tol=1e-12)
+    found = cf.threshold_eta()
     exact = 2.0 * (np.sqrt(2.0) - 1.0)
     jump_ok = cf.optimal_n(found - 1e-9) == 0 and cf.optimal_n(found + 1e-9) == 1
     report(5, "optimal photon number jump location", abs(found - exact), 1e-10, passed=(abs(found - exact) <= 1e-10 and jump_ok))

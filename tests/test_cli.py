@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import io
@@ -294,33 +295,60 @@ class TestDeterminismAndEcho:
         assert not (tmp_path / "cat.csv").exists()
 
 
-# every error class of the library but the base, and the exit code of its family
-_FAMILIES = {ValueError: 2, NumericalInvariantError: 3, TruncationError: 4}
-_LIBRARY_ERRORS = [
-    c for c in vars(errors).values()
-    if isinstance(c, type) and issubclass(c, errors.CavityFeedbackError) and c is not errors.CavityFeedbackError
-]
+# the three error types of the library, one per family, and the exit code of each
+_FAMILIES = {ConfigError: 2, NumericalInvariantError: 3, TruncationError: 4}
 
 
 def test_errors_fall_in_one_family():
     # the family alone picks the exit code, so no library error can reach
     # `main` outside its three handlers and end in a traceback (exit 1)
-    assert len(_LIBRARY_ERRORS) == 10
-    for cls in _LIBRARY_ERRORS:
-        assert sum(issubclass(cls, family) for family in _FAMILIES) == 1, cls
+    defined = {c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__}
+    assert defined == set(_FAMILIES)
+    assert issubclass(ConfigError, ValueError)
+    assert not issubclass(NumericalInvariantError, (ValueError, TruncationError))
+    assert not issubclass(TruncationError, ValueError)
+
+
+def _raises(tree):
+    """(enclosing function, or "__main__" for the main guard; raised name) of each raise."""
+    where = {tree: None}
+    for node in ast.walk(tree):  # breadth first: a node's scope is known before its children's
+        scope = where[node]
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            scope = "__main__"
+        for child in ast.iter_child_nodes(node):
+            where[child] = scope
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield where[node], None if exc is None else ast.unparse(exc)
+
+
+def test_every_raise_is_in_a_family():
+    # a raise outside the three families would reach `main` unhandled; the
+    # only others are check_density's caller-chosen family and the exit itself
+    allowed = {"ValueError", "ConfigError", "NumericalInvariantError", "TruncationError"}
+    stray = [
+        (path.name, scope, name)
+        for path in sorted(Path(cavityfeedback.__file__).parent.glob("*.py"))
+        for scope, name in _raises(ast.parse(path.read_text()))
+        if name not in allowed and (scope, name) not in {("check_density", "error"), ("__main__", "SystemExit")}
+    ]
+    assert stray == []
 
 
 class TestFailureClasses:
     # what each command's map is built from; the test scales it by 1.01
     MAP_INPUTS = {"strobo-pe": (strobo, "_kraus_log_table")}
 
-    @pytest.mark.parametrize("cls", _LIBRARY_ERRORS, ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("cls", list(_FAMILIES), ids=lambda cls: cls.__name__)
     def test_each_error_exits_by_its_family(self, cls, tmp_path, monkeypatch, capsys):
         def fails(cfg):
             raise cls("qubit-protect", "raised") if cls is ConfigError else cls("raised")
 
         monkeypatch.setitem(cli._COMMANDS, "qubit-protect", (fails, cli._COMMANDS["qubit-protect"][1]))
-        expected = next(code for family, code in _FAMILIES.items() if issubclass(cls, family))
+        expected = _FAMILIES[cls]
         assert run_cli(["qubit-protect", "--out", tmp_path / "q.csv"]) == expected
         prefix = {2: "config error", 3: "numerical failure", 4: "truncation failure"}[expected]
         assert capsys.readouterr().err.startswith(f"{prefix}: ")

@@ -7,18 +7,21 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import cavityfeedback.continuous as continuous
+import cavityfeedback.strobo as strobo
 from cavityfeedback import (
     CatParity,
     ContinuousParams,
     DensityMatrix,
     FockDim,
     NumericalInvariantError,
+    StroboParams,
     TruncationError,
     cat_fidelity_analytic,
     cat_state,
     coherent_state,
     evolve_continuous,
     evolve_operator,
+    evolve_strobo,
     fidelity,
     fidelity_curve,
     fock_fidelity_analytic,
@@ -242,6 +245,48 @@ def test_bad_argument_is_a_value_error_before_any_work(fn, args, monkeypatch):
     monkeypatch.setattr(continuous, "expm", no_work)
     with pytest.raises(ValueError):
         fn(*args)
+
+
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: evolve_continuous(_RHO, _PARAMS, _INF),
+        lambda: evolve_continuous(_RHO, ContinuousParams(_INF, 0.5), 1.0),
+        *(
+            lambda fn=fn, args=args: fn(_RHO, *args)
+            for fn in _RATE_MAPS
+            for args in ((_INF, 1.0), (1.0, _INF))
+        ),
+        lambda: cat_fidelity_analytic(5.0, CatParity.ODD, 1.0, _INF),
+        lambda: fidelity_curve(_RHO, _PARAMS, [0.0, _INF]),
+        lambda: fidelity_curve(_RHO, _PARAMS, [0.0, _NAN]),
+        lambda: evolve_strobo(_RHO, StroboParams(1.0, 0.5, _INF), 3),
+        lambda: evolve_strobo(_RHO, StroboParams(1.0, _INF, 0.1), 3),
+        lambda: coherent_state(_NAN, FockDim(7)),
+        lambda: fock_superposition([(1, _NAN)], FockDim(7)),
+    ],
+    ids=[
+        "evolve_continuous-t", "evolve_continuous-gamma",
+        *(f"{fn.__name__}-{arg}" for fn in _RATE_MAPS for arg in ("gamma", "t")),
+        "cat_fidelity_analytic-t", "fidelity_curve-inf", "fidelity_curve-nan",
+        "evolve_strobo-gamma_T", "evolve_strobo-mu", "coherent_state", "fock_superposition",
+    ],
+)
+def test_non_finite_argument_is_a_value_error(call, monkeypatch):
+    # an infinite time or rate once reached the map and failed its output
+    # check as a NumericalInvariantError (CLI exit 3), or the closed form
+    # returned its limit; a NaN amplitude once made a NaN state
+    def no_map(*_):
+        raise AssertionError("a map ran on a non-finite argument")
+
+    for module in (continuous, strobo):
+        monkeypatch.setattr(module, "_propagate", no_map)
+    monkeypatch.setattr(DensityMatrix, "from_map", no_map)
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestCatFidelityAnalytic:
