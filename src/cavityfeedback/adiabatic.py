@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalInvariantError, TruncationError
+from .errors import NumericalInvariantError, TruncationError, check_number
 from .fock import DensityMatrix
 
 _FIDELITY_STEP_TOL = 1e-6
@@ -58,15 +58,8 @@ class PulsePair:
     width: float
 
     def __post_init__(self):
-        # negated comparisons, so that NaN fails too
-        if not (self.g_max > 0 and self.omega_max > 0):
-            raise ValueError("pulse peaks must be positive")
-        if not self.t_cross > 0:
-            raise ValueError("t_cross must be positive")
-        if not self.delay > 0:
-            raise ValueError("delay must be positive (counterintuitive ordering)")
-        if not self.width > 0:
-            raise ValueError("width must be positive")
+        for name in ("g_max", "omega_max", "t_cross", "delay", "width"):
+            check_number(name, getattr(self, name), 0, lo_open=True)
 
     def values(self, t):
         """(g(t), Omega(t)) at scalar or array times."""
@@ -90,12 +83,11 @@ def dark_state(n: int, g, omega) -> np.ndarray:
     g and omega may be arrays of one shape; the components then run along
     the first axis of the result.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_number("n", n, 0, integer=True)
     big_g = g * np.sqrt(n + 1.0)
     norm2 = big_g**2 + omega**2
-    if np.any(norm2 <= 0.0):
-        raise ValueError("dark state undefined when both couplings vanish")
+    if not np.all((norm2 > 0.0) & (norm2 < np.inf)):  # negated, so that NaN fails too
+        raise ValueError("dark state undefined unless the couplings are finite and not both zero")
     return np.stack((big_g, np.zeros_like(big_g), omega)) / np.sqrt(norm2)
 
 
@@ -201,8 +193,7 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
     raised when that changes the transfer fidelity by more than 1e-6, and the
     finer result is returned otherwise.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    check_number("steps", steps, 2, integer=True)
     rho = np.asarray(field_rho.elements)
     top = float(np.real(rho[-1, -1]))
     if top > _TOP_POPULATION_TOL:
@@ -232,8 +223,8 @@ def minimum_dark_overlap(pulses: PulsePair, n: int, steps: int) -> float:
 
     Diagnostic for the adiabatic-following quality of one photon sector.
     """
-    if n < 0 or steps < 1:
-        raise ValueError("need n >= 0 and steps >= 1")
+    check_number("n", n, 0, integer=True)
+    check_number("steps", steps, 1, integer=True)
     worst = 1.0
     for t_end, states in _crossing_states(pulses, np.array([np.sqrt(n + 1.0)]), steps):
         dark = dark_state(n, *pulses.values(t_end))
@@ -265,8 +256,9 @@ def adiabaticity_report(
     link; a ratio strictly above 10 passes, exact equality is only
     marginal.
     """
-    if not (n_bar > 0 and gamma > 0 and gamma_e > 0):  # NaN fails too
-        raise ValueError("rates must be positive")
+    check_number("n_bar", n_bar, 0, lo_open=True)
+    check_number("gamma", gamma, 0, lo_open=True)
+    check_number("gamma_e", gamma_e, 0, lo_open=True)
     rate = 1.0 / pulses.t_cross
     entries = (
         ("omega_max vs crossing rate", pulses.omega_max / rate),

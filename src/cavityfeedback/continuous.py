@@ -33,7 +33,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from ._blas import threads
-from .errors import NumericalInvariantError, TruncationError
+from .errors import NumericalInvariantError, TruncationError, check_number
 from .fock import CatParity, DensityMargins, DensityMatrix, check_density
 
 _TOP_POPULATION_TOL = 1e-8
@@ -47,10 +47,8 @@ class ContinuousParams:
     eta: float
 
     def __post_init__(self):
-        if not 0 < self.gamma < np.inf:  # negated, so that NaN fails too
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        check_number("gamma", self.gamma, 0, lo_open=True)
+        check_number("eta", self.eta, 0, 1)
 
 
 def _band_generator(eta: float, p: int, length: int):
@@ -114,12 +112,10 @@ def _check_top_population(rho: DensityMatrix):
         )
 
 
-def _check_rate_and_time(gamma: float, t: float):
-    """ValueError unless 0 < gamma < inf and 0 <= t < inf; negated, so that NaN fails too."""
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if not 0 <= t < np.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+def _check_rate_and_time(gamma: float, t: float, name: str = "t"):
+    """ValueError unless gamma > 0, the time `name` >= 0 and their product are finite numbers."""
+    product = check_number("gamma", gamma, 0, lo_open=True) * check_number(name, t, 0)
+    check_number(f"gamma * {name}", product, 0)
 
 
 def _uniform_steps(times) -> tuple:
@@ -145,6 +141,8 @@ def evolve_operator(op, eta: float, gamma_t: float) -> np.ndarray:
     The map is linear and acts band by band, so it extends to operators that
     are not states, such as the coherences |n><m| of a two-mode check.
     """
+    check_number("eta", eta, 0, 1)
+    check_number("gamma_t", gamma_t, 0)
     return _propagate(np.asarray(op, dtype=complex), partial(_band_propagator, eta, gamma_t), 1)[1]
 
 
@@ -154,8 +152,7 @@ def evolve_continuous(rho0: DensityMatrix, params: ContinuousParams, t: float) -
     Trace is conserved exactly on the truncated basis, Hermiticity by
     construction; for eta = 1 the populations are constants of motion.
     """
-    if not 0 <= t < np.inf:  # negated, so that NaN fails too
-        raise ValueError("t must be finite and >= 0; negative times are not time-reversed")
+    _check_rate_and_time(params.gamma, t)  # a negative time is not time-reversed
     _check_top_population(rho0)
     out = evolve_operator(rho0.elements, params.eta, params.gamma * t)
     return DensityMatrix.from_map(out[None], rho0.dim)
@@ -179,6 +176,7 @@ def fidelity_curve(rho0: DensityMatrix, params: ContinuousParams, times) -> Fide
     positivity, and a violation raises NumericalInvariantError.
     """
     dt, steps = _uniform_steps(times)
+    _check_rate_and_time(params.gamma, dt, "dt")
     _check_top_population(rho0)
     step = partial(_band_propagator, params.eta, params.gamma * dt)
     stack = _propagate(rho0.elements, step, steps)
@@ -215,8 +213,7 @@ def cat_fidelity_analytic(alpha2: float, parity: CatParity, gamma: float, t: flo
     decayed state with the initial one factorises into an interference weight,
     an amplitude-shrinkage Gaussian and a parity-projection ratio.
     """
-    if not alpha2 > 0:
-        raise ValueError("alpha2 must be positive")
+    check_number("alpha2", alpha2, 0, lo_open=True)
     _check_rate_and_time(gamma, t)
     s = parity.sign
     e1 = np.exp(-gamma * t)
@@ -241,11 +238,11 @@ def fock_fidelity_analytic(
     the levels, and the population transferred from m down to n by the
     residual damping channel (binomial in the m - n lost quanta).
     """
-    if not (m > n >= 0):
-        raise ValueError("need m > n >= 0")
-    if not t >= 0:
-        raise ValueError("t must be >= 0")
-    if abs(abs_alpha2 + abs_beta2 - 1.0) > 1e-10:
+    check_number("n", n, 0, integer=True)
+    check_number("m", m, n, lo_open=True, integer=True)
+    _check_rate_and_time(params.gamma, t)
+    check_number("abs_alpha2", abs_alpha2, 0, 1)  # and abs_beta2 with it, through the norm
+    if not abs(abs_alpha2 + abs_beta2 - 1.0) <= 1e-10:  # negated, so that NaN fails too
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     a2, b2 = abs_alpha2, abs_beta2
     gt = params.gamma * t

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import NumericalInvariantError, TruncationError
+from .errors import ConfigError, NumericalInvariantError, TruncationError, check_number
 
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -36,8 +36,7 @@ class FockDim:
     n_max: int
 
     def __post_init__(self):
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+        check_number("n_max", self.n_max, 1, integer=True)
 
     @property
     def size(self) -> int:
@@ -267,8 +266,10 @@ def fock_superposition(terms, dim: FockDim) -> StateVector:
     amps = np.zeros(dim.size, dtype=complex)
     total = 0.0
     for n, coeff in terms:
-        if not 0 <= n <= dim.n_max:
-            raise ValueError(f"Fock index {n} outside [0, {dim.n_max}]")
+        try:
+            check_number("n", n, 0, dim.n_max, integer=True)
+        except ConfigError:  # the message a config's Fock term shows
+            raise ValueError(f"Fock index {n} outside [0, {dim.n_max}]") from None
         amps[n] += coeff
         total += abs(coeff) ** 2
     if not abs(total - 1.0) <= 1e-10:

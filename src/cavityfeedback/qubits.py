@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalInvariantError
+from .errors import NumericalInvariantError, check_number
 
 _THRESHOLD_TOL = 1e-12
 
@@ -29,18 +29,16 @@ class QubitSpec:
     m: int
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 0:
-            raise ValueError("photon numbers must be >= 0")
+        check_number("n", self.n, 0, integer=True)
+        check_number("m", self.m, 0, integer=True)
         if self.n == self.m:
             raise ValueError("need m != n")
 
 
 def min_fidelity(spec: QubitSpec, eta: float, gamma_t: float) -> float:
     """Worst-case fidelity over all input qubits with photon numbers (n, m)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    if not gamma_t >= 0:  # negated, so that NaN fails too
-        raise ValueError("gamma_t must be >= 0")
+    check_number("eta", eta, 0, 1)
+    check_number("gamma_t", gamma_t, 0)
     n, m = spec.n, spec.m
     damped = np.exp(-(1.0 - eta) * gamma_t * (n + m))
     coherence = np.exp(-gamma_t * (n + m - 2.0 * eta * np.sqrt(n * m)))
@@ -58,8 +56,7 @@ def optimal_n(eta: float) -> int:
     Ties break toward the smaller photon number.  Diverges as eta -> 1, so
     exactly eta = 1 raises ValueError.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    check_number("eta", eta, 0, 1)
     if eta == 1.0:
         raise ValueError("for eta = 1 the optimum grows without bound")
     # objective is unimodal in s and s(n) ~ 4n, so the optimum sits near
@@ -79,8 +76,7 @@ def approx_n_opt(eta: float) -> float:
 
     Inverting s(n) = 2n + 1 + 2 sqrt(n (n+1)) gives n = (s - 1)^2 / (4 s).
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError("eta must lie in [0, 1)")
+    check_number("eta", eta, 0, 1, hi_open=True)
     s = (1.0 - eta) ** -0.5
     return float((s - 1.0) ** 2 / (4.0 * s))
 

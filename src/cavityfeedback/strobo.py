@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .continuous import _propagate
-from .errors import NumericalInvariantError, TruncationError
+from .errors import NumericalInvariantError, TruncationError, check_number
 from .fock import DensityMatrix, FockDim
 
 _TOP_POPULATION_TOL = 1e-10
@@ -52,12 +52,9 @@ class StroboParams:
     gamma_T: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not 0 <= self.mu < np.inf:  # negated, so that NaN fails too
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if not 0 <= self.gamma_T < np.inf:
-            raise ValueError(f"gamma_T must be finite and >= 0, got {self.gamma_T}")
+        check_number("eta", self.eta, 0, 1)
+        check_number("mu", self.mu, 0)
+        check_number("gamma_T", self.gamma_T, 0)
 
 
 def _kraus_log_table(n_dim: int, gamma_T: float) -> np.ndarray:
@@ -154,8 +151,7 @@ def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> Stro
     atom acts (eta > 0) on an even top level, population above 1e-10 there
     raises TruncationError.  Only the populations of each chunk are kept.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    check_number("steps", steps, 0, integer=True)
     dim = rho0.dim
     mats = _step_matrices(params, dim)
     watch_top = params.eta > 0 and dim.n_max % 2 == 0
@@ -179,13 +175,12 @@ def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> Stro
 
 
 def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
-    """Fixed point of the stroboscopic map from the diagonal band matrix.
+    """Fixed point of the stroboscopic map for gamma_T > 0, from the diagonal band matrix.
 
     A fixed point that fails the density-matrix invariants is a fault of the
     computation and raises NumericalInvariantError.
     """
-    if not params.gamma_T > 0:
-        raise ValueError("stationary state requires gamma_T > 0")
+    check_number("gamma_T", params.gamma_T, 0, lo_open=True)
     vals, vecs = np.linalg.eig(_step_matrices(params, dim)[0].real)
     at_one = np.abs(vals - 1.0) < 1e-10
     count = int(np.sum(at_one))
@@ -199,12 +194,11 @@ def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
 
 
 def analytic_stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
-    """Closed-form fixed point: a vacuum and one-photon mixture.
+    """Closed-form fixed point for gamma_T > 0: a vacuum and one-photon mixture.
 
     The one-photon weight is eta sin^2(mu) / (exp(gamma_T) - 1 + eta sin^2(mu)).
     """
-    if not params.gamma_T > 0:
-        raise ValueError("stationary state requires gamma_T > 0")
+    check_number("gamma_T", params.gamma_T, 0, lo_open=True)
     pump = params.eta * np.sin(params.mu) ** 2
     with np.errstate(over="ignore"):  # expm1 overflows to inf above ~709: w1 = 0
         w1 = pump / (np.expm1(params.gamma_T) + pump)
@@ -220,10 +214,8 @@ def p_ee_analytic(alpha2: float, gamma_T_total: float) -> float:
     Closed form for pure dissipation: unity at zero delay, decaying through
     the parity of the damped cat state.
     """
-    if not alpha2 > 0:  # negated, so that NaN fails too
-        raise ValueError("alpha2 must be positive")
-    if not gamma_T_total >= 0:
-        raise ValueError("gamma_T_total must be >= 0")
+    check_number("alpha2", alpha2, 0, lo_open=True)
+    check_number("gamma_T_total", gamma_T_total, 0)
     decay = np.exp(-gamma_T_total)
     num = np.exp(-2.0 * alpha2 * decay) - np.exp(-2.0 * alpha2 * (1.0 - decay))
     den = 1.0 - np.exp(-2.0 * alpha2)
@@ -247,8 +239,7 @@ def run_sequence(rho0: DensityMatrix, params: StroboParams, steps: int) -> Detec
     more than 1e-10 is a fault of the computation and raises
     NumericalInvariantError.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    check_number("steps", steps, 1, integer=True)
     populations = evolve_strobo(rho0, params, steps - 1).populations
     odd = np.arange(rho0.dim.size) % 2
     # summed as complex numbers, as the trace of the parity-projected state
@@ -265,8 +256,6 @@ def run_sequence(rho0: DensityMatrix, params: StroboParams, steps: int) -> Detec
 
 def resonance_angle(n_bar: float, m: int) -> float:
     """Feedback angle maximising photon release at mean photon number n_bar."""
-    if not n_bar > 0:
-        raise ValueError("n_bar must be positive")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    check_number("n_bar", n_bar, 0, lo_open=True)
+    check_number("m", m, 0, integer=True)
     return float(np.pi * (m + 0.5) / np.sqrt(n_bar))

@@ -17,17 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import NumericalInvariantError
+from .errors import NumericalInvariantError, check_number
 from .fock import DensityMatrix
 
 _QUAD_HARD_TOL = 1e-2
 
 
 def _axis(name: str, values) -> np.ndarray:
-    """A read-only, strictly increasing grid axis of at least 2 points."""
+    """A read-only, finite, strictly increasing grid axis of at least 2 points."""
     ax = np.asarray(values, dtype=float)
-    if ax.ndim != 1 or ax.size < 2 or np.any(np.diff(ax) <= 0):
-        raise ValueError(f"{name} axis must be strictly increasing with >= 2 points")
+    if not (ax.ndim == 1 and ax.size >= 2 and np.isfinite(ax).all() and np.all(ax[1:] > ax[:-1])):
+        raise ValueError(f"{name} axis must be finite and strictly increasing with >= 2 points")
     ax = np.ascontiguousarray(ax)
     ax.setflags(write=False)
     return ax
@@ -86,12 +86,17 @@ class WignerGrid:
 
 
 def default_cartesian_grid(extent: float = 4.5, points: int = 121) -> CartesianGrid:
+    check_number("extent", extent, 0, lo_open=True)
+    check_number("points", points, 2, integer=True)
     ax = np.linspace(-extent, extent, points)
     return CartesianGrid(ax, ax.copy())
 
 
 def default_polar_grid(r_max: float, n_r: int = 81, n_theta: int = 256) -> PolarGrid:
     """Polar grid with the closing theta = 2 pi point included for quadrature."""
+    check_number("r_max", r_max, 0, lo_open=True)
+    check_number("n_r", n_r, 2, integer=True)
+    check_number("n_theta", n_theta, 1, integer=True)
     return PolarGrid(np.linspace(0.0, r_max, n_r), np.linspace(0.0, 2.0 * np.pi, n_theta + 1))
 
 
@@ -162,7 +167,7 @@ def _quadrature(kind: str, grid, values: np.ndarray) -> float:
     return float(np.trapezoid(inner * grid.r, grid.r))
 
 
-def _transform(op: np.ndarray, grid, source_digest: str, expected_integral: float) -> WignerGrid:
+def _transform(op: np.ndarray, grid, source_digest: str, expected_integral: float, scale: float):
     if isinstance(grid, CartesianGrid):
         kind, ax1, ax2 = "cartesian", grid.x, grid.y
         xg, yg = np.meshgrid(ax1, ax2, indexing="ij")
@@ -173,9 +178,6 @@ def _transform(op: np.ndarray, grid, source_digest: str, expected_integral: floa
     else:
         raise ValueError(f"unsupported grid type {type(grid).__name__}")
     integral = _quadrature(kind, grid, values)
-    # quadrature residual judged against the operator's overall size, which
-    # is 1 for density matrices and larger for generator images
-    scale = max(1.0, float(np.sum(np.abs(np.linalg.eigvalsh((op + op.conj().T) / 2.0)))))
     if abs(integral - expected_integral) > _QUAD_HARD_TOL * scale:
         raise NumericalInvariantError(
             f"quadrature gave {integral:.6f}, expected {expected_integral:.6f} "
@@ -192,7 +194,7 @@ def wigner_function(rho: DensityMatrix, grid) -> WignerGrid:
     Raises NumericalInvariantError when the grid quadrature misses the unit
     normalisation by more than 1e-2.
     """
-    return _transform(np.asarray(rho.elements), grid, rho.digest(), 1.0)
+    return _transform(np.asarray(rho.elements), grid, rho.digest(), 1.0, 1.0)
 
 
 def sqrt_diffusion_generator_wigner(rho: DensityMatrix, grid) -> WignerGrid:
@@ -206,7 +208,10 @@ def sqrt_diffusion_generator_wigner(rho: DensityMatrix, grid) -> WignerGrid:
     root = np.sqrt(n)
     weights = -((root[:, None] - root[None, :]) ** 2)
     op = weights * np.asarray(rho.elements)
-    return _transform(op, grid, rho.digest(), 0.0)
+    # the quadrature residual is judged against the operator's overall size, the
+    # sum of |eigenvalues|, at least 1; for a density matrix that is its trace, 1
+    scale = max(1.0, float(np.sum(np.abs(np.linalg.eigvalsh((op + op.conj().T) / 2.0)))))
+    return _transform(op, grid, rho.digest(), 0.0, scale)
 
 
 def fringe_visibility(grid: WignerGrid) -> float:

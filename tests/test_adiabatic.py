@@ -266,5 +266,5 @@ class TestAdiabaticityReport:
     @pytest.mark.parametrize("rates", [(np.nan, 0.001, 0.01), (3.3, np.nan, 0.01), (3.3, 0.001, np.nan)])
     def test_nan_rate_raises(self, rates):
         pulses = standard_pulses(100.0, 100.0, 1.0)
-        with pytest.raises(ValueError, match="rates must be positive"):
+        with pytest.raises(ValueError, match="must be a finite number > 0, got nan"):
             adiabaticity_report(pulses, *rates)

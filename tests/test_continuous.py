@@ -289,6 +289,28 @@ def test_non_finite_argument_is_a_value_error(call, monkeypatch):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, product",
+    [
+        (lambda: evolve_continuous(_RHO, ContinuousParams(1e200, 0.5), 1e200), "t"),
+        *((lambda fn=fn: fn(_RHO, 1e200, 1e200), "t") for fn in _RATE_MAPS),
+        (lambda: cat_fidelity_analytic(5.0, CatParity.ODD, 1e200, 1e200), "t"),
+        (lambda: fock_fidelity_analytic(1 / 3, 2 / 3, 2, 4, ContinuousParams(1e200, 0.5), 1e200), "t"),
+        (lambda: fidelity_curve(_RHO, ContinuousParams(1e200, 0.5), [0.0, 1e200]), "dt"),
+    ],
+)
+def test_a_rate_times_time_that_overflows_is_a_value_error(call, product, monkeypatch):
+    # a finite rate and time whose product overflows once warned and then
+    # failed the output check as a NumericalInvariantError (CLI exit 3)
+    def no_map(*_):
+        raise AssertionError("a map ran on an overflowing gamma * t")
+
+    monkeypatch.setattr(continuous, "_propagate", no_map)
+    monkeypatch.setattr(DensityMatrix, "from_map", no_map)
+    with pytest.raises(ValueError, match=rf"^gamma \* {product}: must be a finite number >= 0, got inf$"):
+        call()
+
+
 class TestCatFidelityAnalytic:
     def test_unity_at_zero(self):
         assert cat_fidelity_analytic(5.0, CatParity.ODD, 1.0, 0.0) == pytest.approx(1.0)

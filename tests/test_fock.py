@@ -112,6 +112,12 @@ class TestFockSuperposition:
         with pytest.raises(ValueError, match=rf"Fock index {n} outside \[0, 4\]"):
             fock_superposition([(n, 1.0)], FockDim(4))
 
+    @pytest.mark.parametrize("n", [1.5, True, np.float64(2.0)])
+    def test_a_non_integer_index_is_outside_the_basis(self, n):
+        # 1.5 once reached numpy's indexing and raised its IndexError
+        with pytest.raises(ValueError, match=rf"Fock index {n} outside \[0, 4\]"):
+            fock_superposition([(n, 1.0)], FockDim(4))
+
     def test_unnormalised_coefficients_rejected(self, dim63):
         with pytest.raises(ValueError):
             fock_superposition([(0, 0.5), (1, 0.5)], dim63)

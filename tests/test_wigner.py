@@ -184,6 +184,42 @@ class TestWignerFunction:
             wigner_function(vacuum, default_cartesian_grid(1e300, 11))
 
 
+class TestGridArguments:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_axis_value_is_rejected(self, bad):
+        # NaN once passed the increasing check, since np.diff(ax) <= 0 is False
+        # for it, and an infinite end reached the transform and warned there
+        with pytest.raises(ValueError, match="x axis must be finite and strictly increasing"):
+            CartesianGrid([-1.0, 0.0, 1.0, bad], [-1.0, 1.0])
+        with pytest.raises(ValueError, match="r axis must be finite and strictly increasing"):
+            wigner.PolarGrid([0.0, 1.0, bad], [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: default_cartesian_grid(np.nan, 11), "extent: must be a finite number > 0, got nan"),
+            (lambda: default_cartesian_grid(4.5, 2.5), "points: expected an integer, got 2.5"),
+            (lambda: default_polar_grid(np.inf), "r_max: must be a finite number > 0, got inf"),
+            (lambda: default_polar_grid(4.0, 1), r"n_r: must be an integer >= 2, got 1"),
+            (lambda: default_polar_grid(4.0, 81, True), "n_theta: expected an integer, got True"),
+        ],
+    )
+    def test_default_grids_check_their_numbers(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_a_density_matrix_transform_diagonalises_nothing(monkeypatch):
+    # the quadrature tolerance of a density matrix is 1e-2 times its trace, 1
+    rho = DensityMatrix.from_state(cat_state(np.sqrt(3.0), CatParity.ODD, FockDim(31)))
+
+    def no_eigvalsh(*_):
+        raise AssertionError("the transform diagonalised a density matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    assert abs(wigner_function(rho, default_cartesian_grid(4.5, 61)).integral - 1.0) < 1e-3
+
+
 def transform_per_point(op, grid):
     """The cartesian transform with the radial recurrence run at every grid point."""
     xg, yg = np.meshgrid(grid.x, grid.y, indexing="ij")
