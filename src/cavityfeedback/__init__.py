@@ -58,7 +58,6 @@ from .strobo import (
     p_ee_analytic,
     resonance_angle,
     run_sequence,
-    stationary_state,
 )
 from .wigner import (
     CartesianGrid,

@@ -434,16 +434,18 @@ _COMMANDS = {
 def _csv_text(header, rows) -> str:
     """CSV text of a 2-D float table, every cell "%.12g", masked cells blank.
 
+    Each distinct bit pattern is formatted once, so -0.0 still writes "-0".
     A non-finite unmasked cell raises NumericalInvariantError.
     """
-    data = np.ma.getdata(rows)
+    data = np.asarray(np.ma.getdata(rows), dtype=np.float64)
     mask = np.ma.getmaskarray(rows)
     bad = ~np.isfinite(data) & ~mask
     if bad.any():
         raise NumericalInvariantError(f"non-finite value {data[bad][0]!r} in output row")
-    cells = list(map("%.12g".__mod__, data.ravel().tolist()))
-    for k in np.flatnonzero(mask):
-        cells[k] = ""
+    bits, at = np.unique(data.ravel().view(np.int64), return_inverse=True)
+    at[mask.ravel()] = len(bits)  # the blank cell, appended below
+    texts = np.array([*map("%.12g".__mod__, bits.view(np.float64).tolist()), ""], dtype=object)
+    cells = texts[at].tolist()
     lines = [",".join(header)]
     lines += map(",".join, zip(*[iter(cells)] * len(header)))
     return "\n".join(lines) + "\n"

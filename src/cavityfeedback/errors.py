@@ -6,11 +6,11 @@ decides the CLI exit code:
 - a `ValueError` (exit 2): a bad argument or configuration, such as an odd
   cat of vanishing amplitude or operands of different dimension.  Every
   numeric argument and config number must be a finite number, a count an
-  integer, and a bool is neither; `check_number` is the one check of that,
-  and its `ConfigError` names the key or argument at fault;
+  integer, and a bool is neither; `check_number` (`check_complex` for a
+  complex number) is the one check of that, naming the key or argument at fault;
 - a `NumericalInvariantError` (exit 3): a self-check of the library's own
   computation failed, such as the trace of a map's output, a quadrature, the
-  step-halving check of the crossing or the uniqueness of a fixed point;
+  step-halving check of the crossing or the spectral radius of a step matrix;
 - a `TruncationError` (exit 4): the truncated Fock basis would silently lose
   weight.
 """
@@ -58,3 +58,13 @@ def check_number(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False, hi_op
         bounds = bounds_text(lo, hi, lo_open, hi_open)
         raise ConfigError(name, f"must be {what} {bounds}".rstrip() + f", got {value!r}")
     return x
+
+
+def check_complex(name, value) -> complex:
+    """`value` as a complex if a number (not a bool) with finite parts, else ConfigError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ConfigError(name, f"expected a number, got {value!r}")
+    try:
+        return complex(check_number(name, value.real), check_number(name, value.imag))
+    except ConfigError:  # name the whole value, not the part at fault
+        raise ConfigError(name, f"must be a finite number, got {value!r}") from None

@@ -22,8 +22,8 @@ Both feedback schemes run on one band core: `evolve_strobo` hands these
 matrices, built once per parameter set, to `continuous._propagate`, which
 skips zero bands (every odd band after the first period), and checks every
 state it produces, a fixed chunk of periods at a time.  `run_sequence` runs
-on it, and the same matrices give the stationary state.  The dense
-elementwise Kraus forms of the maps are kept in the tests as oracles.
+on it.  The dense elementwise Kraus forms of the maps, and the fixed point
+read off the diagonal band matrix, are kept in the tests as oracles.
 """
 from __future__ import annotations
 
@@ -172,25 +172,6 @@ def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> Stro
         populations[start + 1 : start + len(stack)] = stack[1:].diagonal(0, 1, 2).real
         mat = stack[-1]
     return StroboRun(state, populations)
-
-
-def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
-    """Fixed point of the stroboscopic map for gamma_T > 0, from the diagonal band matrix.
-
-    A fixed point that fails the density-matrix invariants is a fault of the
-    computation and raises NumericalInvariantError.
-    """
-    check_number("gamma_T", params.gamma_T, 0, lo_open=True)
-    vals, vecs = np.linalg.eig(_step_matrices(params, dim)[0].real)
-    at_one = np.abs(vals - 1.0) < 1e-10
-    count = int(np.sum(at_one))
-    if count > 1:
-        raise NumericalInvariantError(f"{count} eigenvalues within 1e-10 of 1")
-    if count == 0:
-        raise NumericalInvariantError("no eigenvalue of the step matrix lies at 1")
-    vec = np.real(vecs[:, int(np.argmax(at_one))])
-    vec = vec / np.sum(vec)
-    return DensityMatrix.from_map(np.diag(vec.astype(complex))[None], dim)
 
 
 def analytic_stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:

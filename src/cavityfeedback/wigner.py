@@ -9,6 +9,9 @@ so the series is summed over normalised radial functions
 
 which stay O(1) everywhere and obey a three-term recurrence with O(1)
 coefficients; only the n = 0 seed needs a single log-space exponentiation.
+A band with an exactly zero imaginary part, as in every state with real
+weights (cats, real coherent states), runs in real arithmetic with no sine
+harmonic, bitwise equal to the complex recurrence.
 """
 from __future__ import annotations
 
@@ -115,7 +118,7 @@ def _band_coefficients(op: np.ndarray, r: np.ndarray) -> list:
     """For each off-diagonal distance d, C_d(r) = sum_n (-1)^n op_{n,n+d} psi_{n,d}(r).
 
     Returns a list indexed by d; entries are None for bands that are
-    identically zero.
+    identically zero, and real arrays for bands with no imaginary part.
     """
     n_dim = op.shape[0]
     x = 4.0 * r * r
@@ -124,8 +127,8 @@ def _band_coefficients(op: np.ndarray, r: np.ndarray) -> list:
         band = np.diagonal(op, offset=d)
         if not np.any(band):
             continue
-        signs = (-1.0) ** np.arange(n_dim - d)
-        c = band * signs
+        c = band * (-1.0) ** np.arange(n_dim - d)
+        c = c if c.imag.any() else c.real
         psi_prev = _radial_seed(d, r)
         acc = c[0] * psi_prev
         if n_dim - d > 1:
@@ -155,6 +158,8 @@ def _transform_points(op: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.nd
         c = c[at]
         if d == 0:
             w += c.real
+        elif np.isrealobj(c):
+            w += 2.0 * (np.cos(d * angles)[turn] * c)
         else:
             w += 2.0 * (np.cos(d * angles)[turn] * c.real - np.sin(d * angles)[turn] * c.imag)
     return (2.0 / np.pi) * w.reshape(r.shape)

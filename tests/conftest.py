@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from cavityfeedback import DensityMatrix, FockDim
+from cavityfeedback import DensityMatrix, FockDim, NumericalInvariantError, StroboParams
 from cavityfeedback._blas import Pool
+from cavityfeedback.errors import check_number
+from cavityfeedback.strobo import _step_matrices
 
 
 def random_density(n_max: int, support: int, seed: int) -> DensityMatrix:
@@ -28,6 +30,25 @@ def random_parity_density(n_max: int, support: int, seed: int) -> DensityMatrix:
     mat = np.where(same, rho.elements, 0.0)
     mat /= np.trace(mat).real
     return DensityMatrix(mat, FockDim(n_max))
+
+
+def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
+    """Fixed point of the stroboscopic map for gamma_T > 0, from the diagonal band matrix.
+
+    The numerical oracle of `analytic_stationary_state`.  A fixed point that
+    fails the density-matrix invariants raises NumericalInvariantError.
+    """
+    check_number("gamma_T", params.gamma_T, 0, lo_open=True)
+    vals, vecs = np.linalg.eig(_step_matrices(params, dim)[0].real)
+    at_one = np.abs(vals - 1.0) < 1e-10
+    count = int(np.sum(at_one))
+    if count > 1:
+        raise NumericalInvariantError(f"{count} eigenvalues within 1e-10 of 1")
+    if count == 0:
+        raise NumericalInvariantError("no eigenvalue of the step matrix lies at 1")
+    vec = np.real(vecs[:, int(np.argmax(at_one))])
+    vec = vec / np.sum(vec)
+    return DensityMatrix.from_map(np.diag(vec.astype(complex))[None], dim)
 
 
 def fake_pool(count: int, events: list) -> Pool:

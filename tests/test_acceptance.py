@@ -9,7 +9,7 @@ import pytest
 import cavityfeedback as cf
 from cavityfeedback.cli import main as cli_main
 from cavityfeedback.strobo import _step_matrices
-from conftest import random_density, random_parity_density
+from conftest import random_density, random_parity_density, stationary_state
 from test_strobo import dense_step
 
 
@@ -102,7 +102,7 @@ def test_06_stroboscopic_fixed_point(dim31):
         rho = cf.evolve_strobo(odd_cat(3.3, dim31), params, steps).state
         target = cf.analytic_stationary_state(params, dim31)
         worst = max(worst, cf.trace_distance(rho, target))
-        eigvec_state = cf.stationary_state(params, dim31)
+        eigvec_state = stationary_state(params, dim31)
         worst = max(worst, cf.trace_distance(eigvec_state, target))
     first = cf.analytic_stationary_state(cf.StroboParams(1.0, np.pi / 2, 0.02), dim31)
     pe_ok = abs(first.elements[1, 1].real - np.exp(-0.02)) < 1e-12

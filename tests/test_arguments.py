@@ -1,11 +1,13 @@
 """Every numeric argument of the public API goes through one check.
 
 `CALLS` holds one cheap valid call of each public callable with a number
-among its arguments, and the kind of each such number: a real or a count.
-Replacing one of them with NaN or +-inf (a count also with 1.5 or True), or
-a rate and a time with a pair whose product overflows, must raise a
-ValueError: never a TypeError, an IndexError, an OverflowError, a
-NumericalInvariantError, a TruncationError or a warning.
+among its arguments, and the kind of each such number: a real, a complex or
+a count.  Replacing one of them with NaN or +-inf (a count also with 1.5 or
+True, a complex also with an imaginary NaN or True), or a rate and a time
+with a pair whose product overflows, must raise a ValueError: never a
+TypeError, an IndexError, an OverflowError, a NumericalInvariantError, a
+TruncationError or a warning.  The test-side oracle `stationary_state`
+checks its numbers as the library does, and the table holds it too.
 """
 import math
 import warnings
@@ -54,12 +56,12 @@ from cavityfeedback import (
     sqrt_diffusion_generator_wigner,
     standard_phase_diffusion,
     standard_pulses,
-    stationary_state,
     wigner_function,
 )
-from cavityfeedback.errors import check_number
+from cavityfeedback.errors import check_complex, check_number
+from conftest import stationary_state
 
-R, C = "real", "count"  # the kinds of numeric argument
+R, Z, C = "real", "complex", "count"  # the kinds of numeric argument
 HALF = math.sqrt(0.5)
 RHO = DensityMatrix.from_state(fock_superposition([(0, HALF), (1, HALF)], FockDim(6)))
 PULSES = standard_pulses(50.0, 50.0, 1.0)
@@ -123,10 +125,10 @@ CALLS = {
         (("gamma", "t"),),
     ),
     "FockDim": (FockDim, {"n_max": (C, 4)}, ()),
-    "coherent_state": (lambda alpha: coherent_state(alpha, FockDim(15)), {"alpha": (R, 0.5)}, ()),
-    "cat_state": (lambda alpha: cat_state(alpha, CatParity.ODD, FockDim(15)), {"alpha": (R, 1.0)}, ()),
+    "coherent_state": (lambda alpha: coherent_state(alpha, FockDim(15)), {"alpha": (Z, 0.5)}, ()),
+    "cat_state": (lambda alpha: cat_state(alpha, CatParity.ODD, FockDim(15)), {"alpha": (Z, 1.0)}, ()),
     "fock_superposition": (
-        lambda n, coeff: fock_superposition([(n, coeff)], FockDim(4)), {"n": (C, 1), "coeff": (R, 1.0)}, (),
+        lambda n, coeff: fock_superposition([(n, coeff)], FockDim(4)), {"n": (C, 1), "coeff": (Z, 1.0)}, (),
     ),
     "QubitSpec": (QubitSpec, {"n": (C, 1), "m": (C, 2)}, ()),
     "min_fidelity": (
@@ -173,6 +175,8 @@ CALLS = {
     },
 }
 
+ORACLES = {"stationary_state"}  # in CALLS, but kept in the tests
+
 # public callables without a numeric argument, and the records the library returns
 NO_NUMBERS = {
     "CatParity", "StateVector", "DensityMatrix", "fidelity", "mean_amplitude", "parity_expectation",
@@ -184,7 +188,7 @@ NO_NUMBERS = {
 def _cases():
     for name, (_, numbers, pairs) in CALLS.items():
         for param, (kind, _) in numbers.items():
-            bad = [math.nan, math.inf, -math.inf] + ([1.5, True] if kind == C else [])
+            bad = [math.nan, math.inf, -math.inf] + {C: [1.5, True], Z: [complex(0, math.nan), True]}.get(kind, [])
             for value in bad:
                 yield pytest.param(name, {param: value}, id=f"{name}-{param}={value!r}")
         for rate, time in pairs:
@@ -204,7 +208,7 @@ def test_the_table_holds_every_public_callable():
         if callable(obj) and not name.startswith("_")
         and not (isinstance(obj, type) and issubclass(obj, Exception))
     }
-    assert public == set(CALLS) | NO_NUMBERS
+    assert public == (set(CALLS) - ORACLES) | NO_NUMBERS
 
 
 @pytest.mark.parametrize("name", CALLS)
@@ -235,6 +239,10 @@ REPRODUCED = [
     (lambda: FockDim(True), "n_max: expected an integer, got True"),
     (lambda: resonance_angle(3.3, 0.5), "m: expected an integer, got 0.5"),
     (lambda: dark_state(0.5, 1.0, 1.0), "n: expected an integer, got 0.5"),
+    (lambda: coherent_state(True, FockDim(15)), "alpha: expected a number, got True"),
+    (lambda: coherent_state("1", FockDim(15)), "alpha: expected a number, got '1'"),
+    (lambda: cat_state(None, CatParity.ODD, FockDim(15)), "alpha: expected a number, got None"),
+    (lambda: fock_superposition([(1, "1")], FockDim(4)), "coeff: expected a number, got '1'"),
     (lambda: minimum_dark_overlap(PULSES, 1.5, 20), "n: expected an integer, got 1.5"),
     (lambda: fock_fidelity_analytic(0.5, 0.5, 1.5, 3, ContinuousParams(1.0, 0.5), 0.3), "n: expected an integer"),
     (lambda: PulsePair(math.inf, 2.0, 1.0, 0.25, 0.2), "g_max: must be a finite number > 0, got inf"),
@@ -301,3 +309,26 @@ class TestCheckNumber:
             assert not ok and exc.param == "n"
         else:
             assert ok and got is value
+
+
+class TestCheckComplex:
+    def test_the_two_messages(self):
+        with pytest.raises(ConfigError, match=r"^alpha: expected a number, got '1'$"):
+            check_complex("alpha", "1")
+        with pytest.raises(ConfigError, match=r"^alpha: must be a finite number, got \(1\+nanj\)$"):
+            check_complex("alpha", complex(1.0, math.nan))
+
+    def test_numpy_scalars_pass(self):
+        assert check_complex("alpha", np.complex128(0.5 - 2j)) == 0.5 - 2j
+        assert check_complex("alpha", np.int64(3)) == 3
+
+    @given(st.one_of(st.complex_numbers(), st.floats(), st.integers(-(10**400), 10**400), st.booleans()))
+    def test_a_number_passes_exactly_when_its_parts_are_finite(self, value):
+        parts = (value.real, value.imag)
+        ok = not isinstance(value, bool) and all(abs(x) < 2**1024 and math.isfinite(x) for x in parts)
+        try:
+            got = check_complex("alpha", value)
+        except ConfigError as exc:
+            assert not ok and exc.param == "alpha"
+        else:
+            assert ok and got == complex(value) and type(got) is complex

@@ -524,6 +524,11 @@ class TestCsvWriter:
     def test_float_step_column_writes_as_int(self, k):
         assert "%.12g" % float(k) == str(k)
 
+    def test_signed_zeros_and_a_blank_share_no_cell_text(self):
+        # -0.0 == 0.0 as floats, yet "%.12g" writes "-0" and "0"
+        table = np.ma.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -0.0]], mask=[[0, 0, 0], [0, 0, 1]])
+        assert cli._csv_text(["a", "b", "c"], table) == "a,b,c\n-0,0,1\n0,-0,\n"
+
     def test_strobo_step_column_matches_int_cells(self):
         steps = np.arange(3.0)
         table = np.ma.masked_all((3, 2))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cavityfeedback import (
     CatParity,
@@ -15,7 +18,7 @@ from cavityfeedback import (
     mean_amplitude,
     parity_expectation,
 )
-from cavityfeedback.fock import _band_period, check_density
+from cavityfeedback.fock import _EIG_FLOOR, _band_period, check_density
 from conftest import random_density
 
 _BAD_MATRICES = {
@@ -286,3 +289,73 @@ class TestDensityMargins:
         assert abs(margins.min_eigenvalue - full) <= 1e-15
         assert margins.hermiticity == 0.0
         assert margins.trace_drift <= 1e-15
+
+
+def complex_min_eigenvalue(stack) -> float:
+    """Smallest eigenvalue of the Hermitian parts, each matrix diagonalised whole in complex arithmetic."""
+    stack = np.asarray(stack, dtype=complex)
+    return float(min(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() for m in stack))
+
+
+@st.composite
+def density_stacks(draw):
+    """Complex (T, n, n) stacks of unit-trace Hermitian matrices, real or not, banded or not.
+
+    A shift of weight from level 0 to level 1 keeps the trace and may push the
+    smallest eigenvalue below the positivity floor.
+    """
+    count, size = draw(st.integers(1, 4)), draw(st.integers(2, 10))
+    parts = hnp.arrays(np.float64, (count, size, size), elements=st.floats(-1.0, 1.0))
+    a = draw(parts) + (0.0 if draw(st.booleans()) else 1j * draw(parts))
+    n = np.arange(size)
+    a = np.where((n[:, None] - n[None, :]) % draw(st.sampled_from([1, 2, 3])) == 0, a, 0.0)
+    h = a @ a.conj().swapaxes(1, 2) + 1e-3 * np.eye(size)
+    h = h / h.trace(axis1=1, axis2=2)[:, None, None]
+    shift = draw(st.sampled_from([0.0, 1e-11, 1e-9, 0.3]))
+    h[:, 0, 0] -= shift
+    h[:, 1, 1] += shift
+    return h.astype(complex)
+
+
+class TestRealPath:
+    """A stack with no imaginary part is diagonalised in real arithmetic, and only then."""
+
+    def test_a_positive_real_part_does_not_hide_a_negative_eigenvalue(self):
+        # the real part is 0.5 times the identity; the eigenvalues are 0.5 +- 0.6
+        mat = np.array([[0.5, 0.6j], [-0.6j, 0.5]])
+        with pytest.raises(ValueError, match="smallest eigenvalue -1.000e-01"):
+            DensityMatrix(mat, FockDim(1))
+        with pytest.raises(NumericalInvariantError, match="smallest eigenvalue -1.000e-01"):
+            DensityMatrix.from_map(np.array([np.eye(2) / 2.0, mat]), FockDim(1))
+
+    @pytest.mark.parametrize(
+        "state, dtype",
+        [
+            (lambda dim: cat_state(np.sqrt(5.0), CatParity.ODD, dim), np.float64),
+            (lambda dim: coherent_state(np.sqrt(5.0), dim), np.float64),
+            (lambda dim: coherent_state(np.sqrt(5.0) * np.exp(0.3j), dim), np.complex128),
+        ],
+    )
+    def test_the_solver_sees_real_matrices_only_for_real_states(self, state, dtype, dim63, monkeypatch):
+        seen = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def eigvalsh(a):
+            seen.append(a.dtype)
+            return real_eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        DensityMatrix.from_state(state(dim63))
+        assert seen == [dtype]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(stack=density_stacks())
+    def test_the_verdict_is_the_complex_solvers(self, stack):
+        lo = complex_min_eigenvalue(stack)
+        assume(abs(lo - _EIG_FLOOR) > 1e-13)  # a verdict the last digits cannot flip
+        try:
+            margins = check_density(stack)
+        except ValueError as exc:
+            assert lo < _EIG_FLOOR and "smallest eigenvalue" in str(exc)
+        else:
+            assert lo >= _EIG_FLOOR and abs(margins.min_eigenvalue - lo) <= 1e-14

@@ -26,12 +26,11 @@ from cavityfeedback import (
     parity_expectation,
     resonance_angle,
     run_sequence,
-    stationary_state,
     trace_distance,
 )
 from cavityfeedback.fock import check_density
 from cavityfeedback.strobo import _CHUNK, _kraus_log_table, _step_matrices
-from conftest import random_density, random_parity_density
+from conftest import random_density, random_parity_density, stationary_state
 
 # Dense elementwise forms of the stroboscopic maps.  The library runs every
 # map through per-band step matrices; these are the oracles it is checked

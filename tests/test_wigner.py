@@ -322,6 +322,74 @@ class TestRadiiOnce:
             assert np.array_equal(transform(op, grid), oracle(op, grid))
 
 
+def complex_band_coefficients(op, r):
+    """The radial recurrence of every band in complex arithmetic, whatever the band holds."""
+    n_dim = op.shape[0]
+    x = 4.0 * r * r
+    coeffs = [None] * n_dim
+    for d in range(n_dim):
+        band = np.diagonal(op, offset=d)
+        if not np.any(band):
+            continue
+        c = band * (-1.0) ** np.arange(n_dim - d)
+        psi_prev = wigner._radial_seed(d, r)
+        acc = c[0] * psi_prev
+        if n_dim - d > 1:
+            psi_cur = (d + 1.0 - x) / np.sqrt(d + 1.0) * psi_prev
+            acc = acc + c[1] * psi_cur
+            for n in range(1, n_dim - d - 1):
+                a = (2.0 * n + d + 1.0 - x) / np.sqrt((n + 1.0) * (n + 1.0 + d))
+                b = np.sqrt(n * (n + d) / ((n + 1.0) * (n + 1.0 + d)))
+                psi_prev, psi_cur = psi_cur, a * psi_cur - b * psi_prev
+                acc = acc + c[n + 1] * psi_cur
+        coeffs[d] = acc
+    return coeffs
+
+
+def complex_transform_points(op, r, theta):
+    """The transform on distinct radii and angles with every band complex: the oracle of the real path."""
+    radii, at = np.unique(r.ravel(), return_inverse=True)
+    angles, turn = np.unique(theta.ravel(), return_inverse=True)
+    w = np.zeros(r.size)
+    for d, c in enumerate(complex_band_coefficients(op, radii)):
+        if c is None:
+            continue
+        c = c[at]
+        if d == 0:
+            w += c.real
+        else:
+            w += 2.0 * (np.cos(d * angles)[turn] * c.real - np.sin(d * angles)[turn] * c.imag)
+    return (2.0 / np.pi) * w.reshape(r.shape)
+
+
+_REAL_PATH_STATES = {
+    "cat-odd": (lambda dim: cat_state(np.sqrt(5.0), CatParity.ODD, dim), True),
+    "cat-even": (lambda dim: cat_state(np.sqrt(5.0), CatParity.EVEN, dim), True),
+    "coherent": (lambda dim: coherent_state(np.sqrt(5.0), dim), True),
+    "fock": (lambda dim: fock_superposition([(2, np.sqrt(1 / 3)), (4, -np.sqrt(2 / 3))], dim), True),
+    "coherent-complex-alpha": (lambda dim: coherent_state(np.sqrt(5.0) * np.exp(0.7j), dim), False),
+}
+
+
+class TestRealPath:
+    """Real bands run the recurrence in real arithmetic, bitwise equal to the complex one."""
+
+    @pytest.mark.parametrize("grid_name", ["symmetric-121", "r6"])
+    @pytest.mark.parametrize("state", sorted(_REAL_PATH_STATES))
+    def test_bitwise_the_complex_transform(self, state, grid_name, dim63):
+        make, real = _REAL_PATH_STATES[state]
+        op = np.asarray(DensityMatrix.from_state(make(dim63)).elements)
+        grid = _GRIDS[grid_name][0]
+        if isinstance(grid, CartesianGrid):
+            xg, yg = np.meshgrid(grid.x, grid.y, indexing="ij")
+            r, theta = np.hypot(xg, yg), np.arctan2(yg, xg)
+        else:
+            r, theta = np.meshgrid(grid.r, grid.theta, indexing="ij")
+        assert np.array_equal(transform(op, grid), complex_transform_points(op, r, theta))
+        bands = [c for c in wigner._band_coefficients(op, np.unique(r)) if c is not None]
+        assert all(np.isrealobj(c) == real for c in bands)
+
+
 class TestSqrtDiffusionGenerator:
     def test_diagonal_state_maps_to_zero(self):
         dim = FockDim(15)
