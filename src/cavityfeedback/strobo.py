@@ -17,13 +17,14 @@ still removes every coherence between the two parity sectors.  A period at
 gamma_T = 0 is that map alone.
 
 Every map couples a density-matrix element only to elements with the same
-off-diagonal index p, so each band evolves under its own real step matrix.
-Both feedback schemes run on one band core: `evolve_strobo` hands these
-matrices, built once per parameter set, to `continuous._propagate`, which
-skips zero bands (every odd band after the first period), and checks every
-state it produces, a fixed chunk of periods at a time.  `run_sequence` runs
-on it.  The dense elementwise Kraus forms of the maps, and the fixed point
-read off the diagonal band matrix, are kept in the tests as oracles.
+off-diagonal index p, so each band evolves under its own real step matrix,
+zero for odd p.  Both feedback schemes run on one band core: `evolve_strobo`
+hands the even bands' matrices, built once per parameter set in padded blocks,
+to `continuous._propagate`, which skips zero bands (every odd band after the
+first period), and checks every state it produces, about 1 MiB of states at a
+time.  `run_sequence` runs on it.  The dense Kraus forms of the maps, the band
+matrices built row by row and the fixed point read off the diagonal band
+matrix are kept in the tests as oracles.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
 from .continuous import _propagate
@@ -40,7 +42,7 @@ from .fock import DensityMatrix, FockDim
 _TOP_POPULATION_TOL = 1e-10
 _SPECTRAL_TOL = 1e-10
 _TRACE_TOL = 1e-10
-_CHUNK = 16  # periods propagated and checked per pass; only their populations are kept
+_CHUNK_BYTES = 2**20  # states per chunk of at least 16 periods, and padded band entries per block
 
 
 @dataclass(frozen=True)
@@ -59,79 +61,72 @@ class StroboParams:
 
 def _kraus_log_table(n_dim: int, gamma_T: float) -> np.ndarray:
     """Amplitudes c_{n,k} of the vacuum-bath Kraus operators, via log-gamma."""
-    n = np.arange(n_dim, dtype=float)[:, None]
-    k = np.arange(n_dim, dtype=float)[None, :]
-    log_c = 0.5 * (
-        gammaln(n + k + 1.0)
-        - gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - n * gamma_T
-        + k * np.log(-np.expm1(-gamma_T))
-    )
+    n, k = np.ogrid[:n_dim, :n_dim]
+    log_c = 0.5 * (gammaln(n + k + 1.0) - gammaln(n + 1.0) - gammaln(k + 1.0) - n * gamma_T
+                   + k * np.log(-np.expm1(-gamma_T)))
     return np.exp(log_c)
 
 
 def _kraus_table(n_dim: int, gamma_T: float) -> np.ndarray:
-    if gamma_T > 0:
-        return _kraus_log_table(n_dim, gamma_T)
-    c = np.zeros((n_dim, n_dim))
-    c[:, 0] = 1.0  # no dissipation: only the zero-loss Kraus term survives
+    c = np.zeros((2 * n_dim + 1, n_dim))  # rows from n_dim on: zeros only the band padding reads
+    c[:n_dim] = _kraus_log_table(n_dim, gamma_T) if gamma_T > 0 else np.eye(1, n_dim)  # no loss: k = 0
     return c
 
 
-def _band_entries(p: int, params: StroboParams, c: np.ndarray) -> np.ndarray:
-    """Entries of the one-step matrix of band p, from the Kraus table c.
+def _padded_bands(params: StroboParams, c: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """One-step matrices of the even bands ps = p0, p0 + 2, ... from Kraus table c, in one block.
 
-    Row n, column j >= n: the element (j, j + p) after the parity measurement
-    and the feedback atom, then j - n photon losses; for even j the feedback
-    atom also lifts it to (j + 1, j + p + 1), which j - n + 1 losses bring
-    back to (n, n + p) when that image fits in the basis.  Row n, column
-    n - 1 for odd n: the even element one index below, lifted by the feedback
-    atom and left alone by dissipation.
+    Band p = ps[i] fills block[i, :n_dim - p, :n_dim - p].  Row n, column
+    j >= n: the element (j, j + p) after the parity measurement and the
+    feedback atom, then j - n photon losses; for even j the feedback atom
+    also lifts it to (j + 1, j + p + 1), which j - n + 1 losses bring back to
+    (n, n + p) when that image fits in the basis.  Row n, column n - 1 for odd
+    n: the even element one below, lifted by the feedback atom, kept by dissipation.
     """
-    n_dim = c.shape[0]
-    length = n_dim - p
-    if p % 2 == 1:
-        return np.zeros((length, length))
-    eta, mu = params.eta, params.mu
-    j = np.arange(length)
-    n = j[:, None]
-    k = np.maximum(j - n, 0)
+    n_dim, eta, mu = c.shape[1], params.eta, params.mu
+    j, p, q = np.arange(n_dim - ps[0]), ps[:, None, None], ps[0] // 2
+    n, s = j[:, None], c.strides[1]
+    # skew[e, i, n, j] = c[n + 2i, j - n + e], read for j >= n
+    skew = as_strided(c, (2, q + len(ps), len(j), len(j)), (s, 2 * n_dim * s, (n_dim - 1) * s, s),
+                      writeable=False)
     even = (j % 2 == 0).astype(float)
     root_j, root_jp = np.sqrt(j + 1.0), np.sqrt(j + p + 1.0)
     stay = eta * (1.0 - even) + (1.0 - eta) + eta * even * np.cos(mu * root_j) * np.cos(mu * root_jp)
-    mat = c[n, k] * c[n + p, k] * stay
-    k1 = np.minimum(k + 1, n_dim - 1)
-    lift = eta * even * c[n, k1] * c[n + p, k1] * np.sin(mu * root_j) * np.sin(mu * root_jp)
-    mat = np.where(j < length - 1, mat + lift, mat)  # the top column's image would not fit
-    mat = np.where(j >= n, mat, 0.0)
-    odd = j[1::2]
-    mat[odd, odd - 1] += (
-        eta * c[odd, 0] * c[odd + p, 0] * np.sin(mu * np.sqrt(odd)) * np.sin(mu * np.sqrt(odd + p))
-    )
+    mat = skew[0, 0] * skew[0, q:] * stay
+    lift = eta * even * skew[1, 0] * skew[1, q:] * np.sin(mu * root_j) * np.sin(mu * root_jp)
+    np.add(mat, lift, out=mat, where=j < n_dim - p - 1)  # the top column's image would not fit
+    mat[:, j < n] = 0.0
+    odd, p = j[1::2], ps[:, None]
+    mat[:, odd, odd - 1] += (eta * c[odd, 0] * c[odd + p, 0] * np.sin(mu * np.sqrt(odd))
+                             * np.sin(mu * np.sqrt(odd + p)))
     return mat
 
 
-def _step_matrices(params: StroboParams, dim: FockDim) -> list:
-    """Complex one-step matrices of every band, for the band core.
+def _step_matrices(params: StroboParams, dim: FockDim) -> dict:
+    """Complex one-step matrices of the even bands, keyed by p; every odd band's is zero.
 
     A step map that does not conserve the trace is a fault of the computation
     and raises NumericalInvariantError before any state is stepped: every
     column of the diagonal band must sum to 1, except the top level's, whose
     lifted image the feedback atom would push out of the basis.  So does a
-    band whose spectral radius exceeds 1 by more than 1e-10.
+    band whose spectral radius exceeds 1 by more than 1e-10; the radius is at
+    most the band's 1-norm, so `eigvals` runs only where that norm is larger.
     """
-    c = _kraus_table(dim.size, params.gamma_T)
-    entries = [_band_entries(p, params, c) for p in range(dim.size)]
-    drift = float(np.max(np.abs(entries[0][:, :-1].sum(axis=0) - 1.0)))
-    if not drift <= _TRACE_TOL:
-        raise NumericalInvariantError(f"trace deviates from 1 by {drift:.3e} in the step map")
-    for p, mat in enumerate(entries):
-        if mat.any():  # a zero matrix, such as every odd band's, has radius 0
-            radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
-            if not radius <= 1.0 + _SPECTRAL_TOL:
-                raise NumericalInvariantError(f"spectral radius {radius!r} of band {p} exceeds 1")
-    return [mat.astype(complex) for mat in entries]
+    n_dim, mats = dim.size, {}
+    c = _kraus_table(n_dim, params.gamma_T)
+    evens, group = np.arange(0, n_dim, 2), max(1, _CHUNK_BYTES // (8 * n_dim * n_dim))  # bands per block
+    for ps in np.split(evens, range(group, len(evens), group)):
+        for p, padded in zip(ps.tolist(), _padded_bands(params, c, ps)):
+            mat = padded[: n_dim - p, : n_dim - p]
+            drift = float(np.max(np.abs(mat[:, :-1].sum(axis=0) - 1.0))) if p == 0 else 0.0
+            if not drift <= _TRACE_TOL:
+                raise NumericalInvariantError(f"trace deviates from 1 by {drift:.3e} in the step map")
+            if not np.abs(mat).sum(axis=0).max() <= 1.0 + _SPECTRAL_TOL:
+                radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
+                if not radius <= 1.0 + _SPECTRAL_TOL:
+                    raise NumericalInvariantError(f"spectral radius {radius!r} of band {p} exceeds 1")
+            mats[p] = mat.astype(complex)
+    return mats
 
 
 class StroboRun(NamedTuple):
@@ -144,33 +139,39 @@ class StroboRun(NamedTuple):
 def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> StroboRun:
     """Apply `steps` full periods (feedback, then dissipation) to rho0.
 
-    The periods run through the band core of `continuous` on the step
-    matrices of `_step_matrices`, built once for the run, a fixed chunk of
-    periods at a time.  Every state of a chunk is checked for Hermiticity,
-    trace and positivity (NumericalInvariantError), and when the feedback
-    atom acts (eta > 0) on an even top level, population above 1e-10 there
-    raises TruncationError.  Only the populations of each chunk are kept.
+    The periods run through the band core of `continuous` on the step matrices
+    of `_step_matrices`, built once for the run, in chunks of about 1 MiB of
+    states and at least 16 periods.  Every state of a chunk is checked for
+    Hermiticity, trace and positivity (NumericalInvariantError), and when the
+    feedback atom acts (eta > 0) on an even top level, population above 1e-10
+    there raises TruncationError.  Only the populations of each chunk are kept.
     """
     check_number("steps", steps, 0, integer=True)
     dim = rho0.dim
     mats = _step_matrices(params, dim)
     watch_top = params.eta > 0 and dim.n_max % 2 == 0
+
+    def step_matrix(p: int, size: int) -> np.ndarray:  # an odd band's only if nonzero in rho0
+        return mats[p] if p in mats else np.zeros((size, size), dtype=complex)
+
     populations = np.empty((steps + 1, dim.size))
     populations[0] = rho0.populations()
-    state, mat = rho0, rho0.elements
-    for start in range(0, steps, _CHUNK):
-        stack = _propagate(mat, lambda p, length: mats[p], min(_CHUNK, steps - start))
+    state, mat, start = rho0, rho0.elements, 0
+    full = max(16, _CHUNK_BYTES // mat.nbytes)  # periods per pass: about 1 MiB of states
+    # a zero step matrix leaves signed zeros that depend on the length of its pass, so a first
+    # pass that steps nonzero odd bands of rho0 is 16 periods long, whatever the size of the state
+    chunk = 16 if mat[::2, 1::2].any() else full
+    while start < steps:
+        stack = _propagate(mat, step_matrix, min(chunk, steps - start))
         if watch_top:  # the states this chunk stepped
             top = float(np.max(stack[:-1, -1, -1].real))
             if top > _TOP_POPULATION_TOL:
-                raise TruncationError(
-                    f"population {top:.3e} on the top Fock level would be pushed out of "
-                    "the basis by the feedback atom; enlarge the basis"
-                )
+                raise TruncationError(f"population {top:.3e} on the top Fock level would be pushed out "
+                                      "of the basis by the feedback atom; enlarge the basis")
         state = DensityMatrix.from_map(stack[1:], dim)
         # a copy: a view of the diagonal would keep the whole chunk alive
         populations[start + 1 : start + len(stack)] = stack[1:].diagonal(0, 1, 2).real
-        mat = stack[-1]
+        start, mat, chunk = start + len(stack) - 1, stack[-1], full
     return StroboRun(state, populations)
 
 
@@ -184,8 +185,7 @@ def analytic_stationary_state(params: StroboParams, dim: FockDim) -> DensityMatr
     with np.errstate(over="ignore"):  # expm1 overflows to inf above ~709: w1 = 0
         w1 = pump / (np.expm1(params.gamma_T) + pump)
     diag = np.zeros(dim.size, dtype=complex)
-    diag[0] = 1.0 - w1
-    diag[1] = w1
+    diag[:2] = 1.0 - w1, w1
     return DensityMatrix.from_map(np.diag(diag)[None], dim)
 
 

@@ -120,21 +120,21 @@ def test_07_no_feedback_sequence_consistency(dim31):
 def test_08_band_matrix_equivalence(dim31):
     params = cf.StroboParams(0.55, np.pi / 5, 0.04)
     rho = random_parity_density(31, 26, seed=5)
-    mats = [m.real for m in _step_matrices(params, dim31)]
-    bands = [np.diagonal(rho.elements, offset=p).copy() for p in range(32)]
+    mats = {p: m.real for p, m in _step_matrices(params, dim31).items()}  # the even bands
+    bands = {p: np.diagonal(rho.elements, offset=p).copy() for p in mats}  # rho has no odd band
     direct = rho.elements
     for _ in range(50):
         direct = dense_step(direct, params)
-        bands = [m @ v for m, v in zip(mats, bands)]
+        bands = {p: mats[p] @ v for p, v in bands.items()}
     rebuilt = np.zeros((32, 32), dtype=complex)
-    for p in range(32):
+    for p in mats:
         idx = np.arange(32 - p)
         rebuilt[idx, idx + p] = bands[p]
         if p:
             rebuilt[idx + p, idx] = np.conj(bands[p])
     worst = float(np.max(np.abs(rebuilt - direct)))
     radius_ok = True
-    for m in mats:
+    for m in mats.values():
         radius_ok &= bool(np.max(np.abs(np.linalg.eigvals(m))) <= 1.0 + 1e-10)
     unit = np.abs(np.linalg.eigvals(mats[0]) - 1.0) < 1e-10
     report(

@@ -406,12 +406,14 @@ class TestFailureClasses:
         assert "numerical failure: P_e + P_g" in capsys.readouterr().err
 
     def test_step_matrix_beyond_unit_radius_exits_3(self, tmp_path, monkeypatch, capsys):
-        real = strobo._band_entries
+        real = strobo._padded_bands
 
-        def band_2_grows(p, params, c):
-            return 1.5 * np.eye(c.shape[0] - p) if p == 2 else real(p, params, c)
+        def band_2_grows(params, c, ps):
+            block = real(params, c, ps)
+            block[ps == 2] = 1.5 * np.eye(block.shape[-1])
+            return block
 
-        monkeypatch.setattr(strobo, "_band_entries", band_2_grows)
+        monkeypatch.setattr(strobo, "_padded_bands", band_2_grows)
         assert run_cli(["strobo-pe", "--gamma-t", 0.1, "--out", tmp_path / "out.csv"]) == 3
         assert "numerical failure: spectral radius 1.5 of band 2" in capsys.readouterr().err
 

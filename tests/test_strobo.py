@@ -29,7 +29,7 @@ from cavityfeedback import (
     trace_distance,
 )
 from cavityfeedback.fock import check_density
-from cavityfeedback.strobo import _CHUNK, _kraus_log_table, _step_matrices
+from cavityfeedback.strobo import _CHUNK_BYTES, _kraus_log_table, _step_matrices
 from conftest import random_density, random_parity_density, stationary_state
 
 # Dense elementwise forms of the stroboscopic maps.  The library runs every
@@ -108,6 +108,19 @@ def dissipation_map(rho, gamma_T):
     return DensityMatrix.from_map(out[None], rho.dim)
 
 
+def with_band_2(mat):
+    """A stand-in for `strobo._padded_bands` whose band 2 is `mat`."""
+    real = strobo._padded_bands
+
+    def build(params, c, ps):
+        block = real(params, c, ps)
+        block[ps == 2] = 0.0
+        block[ps == 2, : len(mat), : len(mat)] = mat
+        return block
+
+    return build
+
+
 def band_matrix_rows(p, params, dim):
     """The one-step matrix of band p, assembled one row at a time."""
     n_dim = dim.size
@@ -165,7 +178,7 @@ def step_with_bands(rho, params):
     """Reassemble one step from the per-band matrices."""
     n = rho.dim.size
     out = np.zeros((n, n), dtype=complex)
-    for p, mat in enumerate(_step_matrices(params, rho.dim)):
+    for p, mat in _step_matrices(params, rho.dim).items():  # every odd band maps to zero
         v = mat @ np.diagonal(rho.elements, offset=p)
         idx = np.arange(n - p)
         out[idx, idx + p] = v
@@ -324,9 +337,9 @@ class TestBandMatrices:
         assert np.max(np.abs(rebuilt - direct.elements)) < 1e-12
 
     def test_odd_bands_vanish(self, dim31):
+        # an odd band's matrix is zero, so none is built
         mats = _step_matrices(StroboParams(0.5, 0.8, 0.1), dim31)
-        for p in (1, 3, 9):
-            assert np.max(np.abs(mats[p])) == 0.0
+        assert list(mats) == list(range(0, 32, 2))
 
     def test_diagonal_band_preserves_trace(self, dim31):
         params = StroboParams(0.8, 1.2, 0.05)
@@ -340,14 +353,34 @@ class TestBandMatrices:
             assert radius <= 1.0 + 1e-10
 
     def test_spectral_radius_is_a_numerical_fault(self, dim31, monkeypatch):
-        real = strobo._band_entries
-
-        def band_2_grows(p, params, c):
-            return 1.5 * np.eye(c.shape[0] - p) if p == 2 else real(p, params, c)
-
-        monkeypatch.setattr(strobo, "_band_entries", band_2_grows)
+        monkeypatch.setattr(strobo, "_padded_bands", with_band_2(1.5 * np.eye(30)))
         with pytest.raises(NumericalInvariantError, match="spectral radius 1.5 of band 2"):
             evolve_strobo(odd_cat(3.3, dim31), StroboParams(0.4, np.pi / 6, 0.2), 1)
+
+    def test_a_norm_above_one_falls_back_to_the_exact_radius(self, monkeypatch):
+        # 1-norm 1.4 but spectral radius 0.5: the norm bound alone would raise
+        skewed = np.array([[0.5, 0.9], [0.0, 0.5]])
+        monkeypatch.setattr(strobo, "_padded_bands", with_band_2(skewed))
+        seen = []
+        real_eigvals = np.linalg.eigvals
+
+        def eigvals(mat):
+            seen.append(np.array(mat))
+            return real_eigvals(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        mats = _step_matrices(StroboParams(0.4, np.pi / 6, 0.2), FockDim(3))
+        assert np.array_equal(mats[2], skewed)
+        assert len(seen) == 1 and np.array_equal(seen[0], skewed)  # band 0's norm is within the bound
+
+    def test_norm_bound_spares_eigvals_on_working_bands(self, dim31, monkeypatch):
+        def no_eigvals(_):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        for params in (StroboParams(0.4, np.pi / 6, 0.2), StroboParams(1.0, np.pi / 2, 0.0)):
+            for dim in (dim31, FockDim(127)):
+                _step_matrices(params, dim)
 
 
 class TestStationaryState:
@@ -605,7 +638,9 @@ class TestStroboProperties:
         assert min(seq.p_e.min(), seq.p_g.min()) >= -1e-12
 
 
-_STEP_COUNTS = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+_CHUNK = max(16, _CHUNK_BYTES // (16 * 32 * 32))  # periods per chunk at dim 31: about 1 MiB of states
+# 17 is one period past the 16-period first chunk of a state with odd-band coherences
+_STEP_COUNTS = (1, 17, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
 
 
 @st.composite
@@ -626,9 +661,12 @@ def dense_states(rho, params, steps):
 
 class TestEvolveStrobo:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(params=params_drawn, dim=st.sampled_from([FockDim(15), FockDim(30), FockDim(31)]))
+    @given(params=params_drawn, dim=st.sampled_from([FockDim(n) for n in (1, 2, 15, 30, 31, 64, 127)]))
     def test_band_matrices_equal_the_row_loop(self, params, dim):
-        for p, mat in enumerate(_step_matrices(params, dim)):
+        # dim 64 and 127 build the bands in more than one padded block
+        mats = _step_matrices(params, dim)
+        assert list(mats) == list(range(0, dim.size, 2))
+        for p, mat in mats.items():
             assert np.array_equal(mat, band_matrix_rows(p, params, dim))
 
     @_PROPERTY
@@ -677,6 +715,44 @@ class TestEvolveStrobo:
         with pytest.raises(NumericalInvariantError, match="trace"):
             evolve_strobo(rho, params, 3 * _CHUNK + 5)
         assert calls == [_CHUNK] * 3
+
+    @pytest.mark.parametrize("n_max,chunk", [(31, 64), (63, 16), (127, 16)])
+    def test_no_chunk_holds_more_than_a_mebibyte_or_16_periods(self, n_max, chunk, monkeypatch):
+        rho = odd_cat(3.3, FockDim(n_max))
+        real_propagate = strobo._propagate
+        periods = []
+
+        def propagate(mat, step_matrix, steps):
+            stack = real_propagate(mat, step_matrix, steps)
+            assert stack[1:].nbytes <= max(2**20, 16 * mat.nbytes)
+            periods.append(steps)
+            return stack
+
+        real_bands = strobo._padded_bands
+        blocks = []
+
+        def padded_bands(params, c, ps):
+            block = real_bands(params, c, ps)
+            blocks.append(block.nbytes)
+            return block
+
+        monkeypatch.setattr(strobo, "_propagate", propagate)
+        monkeypatch.setattr(strobo, "_padded_bands", padded_bands)
+        evolve_strobo(rho, StroboParams(0.6, 0.9, 0.05), 70)
+        assert periods == [chunk] * (70 // chunk) + [70 % chunk]
+        assert max(blocks) <= 2**20  # the band matrices too are built about 1 MiB at a time
+
+    @pytest.mark.parametrize("odd_bands", [False, True])
+    def test_chunk_length_leaves_every_bit(self, odd_bands, dim31, monkeypatch):
+        # the zero matrices of odd bands leave signed zeros; they too must not depend on the chunking
+        state = coherent_state(1.5 + 0.5j, dim31) if odd_bands else cat_state(1.8, CatParity.ODD, dim31)
+        rho = DensityMatrix.from_state(state)
+        params = StroboParams(0.6, 0.9, 0.05)
+        runs = [evolve_strobo(rho, params, 40)]
+        monkeypatch.setattr(strobo, "_CHUNK_BYTES", 0)  # 16 periods per chunk
+        runs.append(evolve_strobo(rho, params, 40))
+        assert runs[0].state.elements.tobytes() == runs[1].state.elements.tobytes()
+        assert runs[0].populations.tobytes() == runs[1].populations.tobytes()
 
     @pytest.mark.parametrize("steps", [1, 2, _CHUNK + 3])
     def test_probabilities_are_the_dense_split_of_each_state(self, steps, dim31):
