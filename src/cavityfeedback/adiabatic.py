@@ -15,15 +15,18 @@ element, which is exactly the feedback operation the continuous scheme needs.
 Sectors decouple, -iH_n is real antisymmetric, and the atom starts in a real
 state, so the integration runs on real vectors with classical fixed-step RK4,
 validated by step halving.  One blocked stepper serves every sector and every
-caller.  The ODE is linear, so each RK4 step is a 3x3 matrix; with
-r = sqrt(n+1) it is a polynomial of degree four in r whose coefficients
-depend only on the pulses, so they are built once per step and evaluated at
-every sector in one product.  Steps are applied a chunk at a time: products
-over blocks of consecutive steps carry the state from block to block, and
-the states inside all blocks then follow together.
+caller.  The ODE is linear, so each RK4 step is a 3x3 matrix.  It acts on
+u = (y0, y1, y2 / sqrt(n+1)), whose generator holds the sector only as
+s = n + 1, so the step is a polynomial of degree two in s whose coefficients
+depend only on the pulses: they are built once per step and evaluated at
+every sector in one product.  Steps are applied a chunk at a time, sized by
+memory: products over blocks of consecutive steps carry the state from block
+to block, and the states inside all blocks then follow together, except in
+the coarse run of the halving check, which keeps only its final state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,36 +94,43 @@ def dark_state(n: int, g, omega) -> np.ndarray:
     return np.stack((big_g, np.zeros_like(big_g), omega)) / np.sqrt(norm2)
 
 
-# A chunk is _BLOCK blocks of _BLOCK steps and costs about 3 * _BLOCK numpy calls
-# instead of _BLOCK**2; it holds the step matrices of one chunk at a time.
-_BLOCK = 12
-_CHUNK = _BLOCK * _BLOCK
+# A chunk is b blocks of b steps and costs about 3 * b numpy calls instead of
+# b**2.  Per step it holds a 3x3 matrix (72 bytes) for every sector, and about
+# 30 matrices' worth of RK4 coefficients while they are built.
+_CHUNK_BYTES = 2**20
+
+
+def _block(n_sectors: int) -> int:
+    """Steps per block, b: a chunk of b * b steps stays within _CHUNK_BYTES."""
+    return max(1, math.isqrt(_CHUNK_BYTES // (72 * (n_sectors + 30))))
 
 
 def _deriv(z, g, om):
-    """A(t) Z, where Z = sum_p z[p] r^p is a polynomial in r = sqrt(n+1).
+    """A(t) Z, where Z = sum_p z[p] s^p is a polynomial in s = n + 1.
 
-    z has shape (5, 3, ...): coefficient, state component, then any axes
-    that g and om broadcast against.  The g terms raise the degree by one.
+    z has shape (3, 3, ...): coefficient, state component, then any axes
+    that g and om broadcast against.  Only the s g term raises the degree;
+    the degree-three term it drops is zero in every RK4 stage.
     """
     out = np.zeros_like(z)
     out[:, 0] = -om * z[:, 1]
     out[:, 1] = om * z[:, 0]
     out[1:, 1] -= g * z[:-1, 2]
-    out[1:, 2] = g * z[:-1, 1]
+    out[:, 2] = g * z[:, 1]
     return out
 
 
 def _step_polynomials(pulses: PulsePair, t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Coefficients C_p of the RK4 step matrices sum_p C_p r^p, shape (5, 3, 3) + t.shape.
+    """Coefficients C_p of the RK4 step matrices sum_p C_p s^p, shape (3, 3, 3) + t.shape.
 
-    The step from each time t with size h, applied to the identity; an entry
-    of h equal to 0 gives the identity step.
+    The step from each time t with size h, applied to the identity, in the
+    scaled state u = (y0, y1, y2 / sqrt(s)); an entry of h equal to 0 gives
+    the identity step.
     """
     g_a, om_a = pulses.values(t)
     g_b, om_b = pulses.values(t + h / 2.0)
     g_c, om_c = pulses.values(t + h)
-    y = np.zeros((5, 3, 3) + t.shape)
+    y = np.zeros((3, 3, 3) + t.shape)
     y[0, [0, 1, 2], [0, 1, 2]] = 1.0
     k1 = _deriv(y, g_a, om_a)
     k2 = _deriv(y + 0.5 * h * k1, g_b, om_b)
@@ -129,41 +139,47 @@ def _step_polynomials(pulses: PulsePair, t: np.ndarray, h: np.ndarray) -> np.nda
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _crossing_states(pulses: PulsePair, roots: np.ndarray, steps: int):
-    """Classical RK4 from |g1> in sectors with coupling scales `roots` = sqrt(n+1).
+def _crossing_states(pulses: PulsePair, sectors: np.ndarray, steps: int, every: bool = True):
+    """Classical RK4 from |g1> in the sectors s = n + 1 listed, as floats, in `sectors`.
 
     Yields, one chunk of steps at a time, (t_end, y): the time after each
-    step of the chunk and the states there, y[component, sector, step].
+    step of the chunk and the states there, y[component, sector, step].  The
+    steps carry u = (y0, y1, y2 / sqrt(s)); y2 is scaled back once per chunk.
+    With every=False only each chunk's last state is computed and yielded.
     """
-    h = pulses.t_cross / steps
-    powers = roots[:, None] ** np.arange(5)
-    n_sec = len(roots)
-    y = np.zeros((3, n_sec))
-    y[0] = 1.0
-    for first in range(0, steps, _CHUNK):
-        # step first + b * _BLOCK + j sits at [j, b]; steps past the end get h = 0
-        index = first + np.arange(_CHUNK).reshape(_BLOCK, _BLOCK).T
+    h, powers = pulses.t_cross / steps, sectors[:, None] ** np.arange(3)
+    n_sec, n_b = len(sectors), _block(len(sectors))
+    chunk, u = n_b * n_b, np.eye(3, 1).repeat(n_sec, axis=1)  # |g1> in every sector
+    for first in range(0, steps, chunk):
+        # step first + b * n_b + j sits at [j, b]; steps past the end get h = 0
+        index = first + np.arange(chunk).reshape(n_b, n_b).T
         coef = _step_polynomials(pulses, index * h, np.where(index < steps, h, 0.0))
         # m[j][:, :, s, b] is the matrix of step j of block b in sector s; one
         # array per j keeps each allocation small, so the heap does not grow
-        per_step = coef.reshape(5, 9, _BLOCK, _BLOCK).transpose(2, 1, 0, 3)
-        m = [np.matmul(powers, c).reshape(3, 3, n_sec, _BLOCK) for c in per_step]
+        per_step = coef.reshape(3, 9, n_b, n_b).transpose(2, 1, 0, 3)
+        m = [np.matmul(powers, c).reshape(3, 3, n_sec, n_b) for c in per_step]
         block = m[0]  # product of each block's steps, all blocks at once
-        for j in range(1, _BLOCK):
+        for j in range(1, n_b):
             block = np.einsum("ijsb,jksb->iksb", m[j], block)
-        starts = np.empty((3, n_sec, _BLOCK))  # block start states, one after another
-        starts[:, :, 0] = y
-        for b in range(1, _BLOCK):
+        starts = np.empty((3, n_sec, n_b))  # block start states, one after another
+        starts[:, :, 0] = u
+        for b in range(1, n_b):
             starts[:, :, b] = np.einsum("ijs,js->is", block[..., b - 1], starts[:, :, b - 1])
-        states = np.empty((3, n_sec, _BLOCK, _BLOCK))  # every state, all blocks at once
-        y = starts
-        for j in range(_BLOCK):
-            y = np.einsum("ijsb,jsb->isb", m[j], y)
-            states[..., j] = y
-        count = min(_CHUNK, steps - first)
-        states = states.reshape(3, n_sec, _CHUNK)[:, :, :count]
-        y = states[:, :, -1]
-        yield (first + np.arange(count)) * h + h, states
+        count = min(chunk, steps - first)
+        t_end = (first + np.arange(count)) * h + h
+        if every:
+            states = np.empty((3, n_sec, n_b, n_b))  # every state, all blocks at once
+            u = starts
+            for j in range(n_b):
+                u = np.einsum("ijsb,jsb->isb", m[j], u)
+                states[..., j] = u
+            states = states.reshape(3, n_sec, chunk)[:, :, :count]
+        else:  # the last block's product times its start
+            states = np.einsum("ijs,js->is", block[..., -1], starts[:, :, -1])[..., None]
+            t_end = t_end[-1:]
+        u = states[:, :, -1].copy()
+        states[2] *= np.sqrt(sectors)[:, None]
+        yield t_end, states
 
 
 def _integrate(pulses: PulsePair, n_sectors: int, steps: int, weights: np.ndarray):
@@ -172,9 +188,8 @@ def _integrate(pulses: PulsePair, n_sectors: int, steps: int, weights: np.ndarra
     The amplitudes have shape (n_sectors, 3).  weights are the field
     populations used for the excited-state bookkeeping.
     """
-    roots = np.sqrt(np.arange(1, n_sectors + 1, dtype=float))
     peak_e = 0.0  # the start state |g1> has no excited population
-    for _, y in _crossing_states(pulses, roots, steps):
+    for _, y in _crossing_states(pulses, np.arange(1.0, n_sectors + 1), steps):
         peak_e = max(peak_e, float(np.max(weights @ y[1] ** 2)))
     return y[:, :, -1].T, peak_e
 
@@ -202,10 +217,10 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
             "enlarge the basis"
         )
     n_dim = field_rho.dim.size
-    pops = np.real(np.diag(rho))
-    coarse, _ = _integrate(pulses, n_dim, steps, pops)
-    fine, peak_e = _integrate(pulses, n_dim, 2 * steps, pops)
-    f_coarse = _transfer_fidelity(rho, coarse[:, 2])
+    # the coarse run feeds only the halving check, so it keeps only its final state
+    *_, (_, coarse) = _crossing_states(pulses, np.arange(1.0, n_dim + 1), steps, every=False)
+    fine, peak_e = _integrate(pulses, n_dim, 2 * steps, np.real(np.diag(rho)))
+    f_coarse = _transfer_fidelity(rho, coarse[2, :, 0])
     f_fine = _transfer_fidelity(rho, fine[:, 2])
     if abs(f_fine - f_coarse) > _FIDELITY_STEP_TOL:
         raise NumericalInvariantError(
@@ -226,7 +241,7 @@ def minimum_dark_overlap(pulses: PulsePair, n: int, steps: int) -> float:
     check_number("n", n, 0, integer=True)
     check_number("steps", steps, 1, integer=True)
     worst = 1.0
-    for t_end, states in _crossing_states(pulses, np.array([np.sqrt(n + 1.0)]), steps):
+    for t_end, states in _crossing_states(pulses, np.array([n + 1.0]), steps):
         dark = dark_state(n, *pulses.values(t_end))
         y = states[:, 0]
         overlap = np.sum(dark * y, axis=0) ** 2 / np.sum(y * y, axis=0)

@@ -17,19 +17,28 @@ from cavityfeedback import (
     minimum_dark_overlap,
     standard_pulses,
 )
-from cavityfeedback.adiabatic import _BLOCK, _CHUNK, _integrate
+from cavityfeedback.adiabatic import (
+    _CHUNK_BYTES,
+    _block,
+    _crossing_states,
+    _integrate,
+    _step_polynomials,
+)
 
 AREA = 100.0
 STEPS = 3000
 
 
-def reference_states(pulses, roots, steps):
+def reference_states(pulses, roots, steps, start=None):
     """Per-step RK4 loop from |g1> in every sector: the oracle for the blocked stepper.
 
+    `start`, shape (sectors, 3), replaces |g1> as the initial states.
     Returns the states after each step, shape (steps, sectors, 3).
     """
     y = np.zeros((len(roots), 3))
     y[:, 0] = 1.0
+    if start is not None:
+        y = np.array(start, dtype=float)
     h = pulses.t_cross / steps
     t_nodes = np.arange(steps) * h
     g_a, om_a = pulses.values(t_nodes)
@@ -156,13 +165,13 @@ class TestIntegrateCrossing:
     def test_fault_in_the_stepper_is_numerical(self, dim31, monkeypatch):
         import cavityfeedback.adiabatic as adiabatic
 
-        real = adiabatic._integrate
+        real = adiabatic._crossing_states
 
-        def scaled(*args):
-            final, peak_e = real(*args)
-            return 1.01 * final, peak_e
+        def scaled(*args, **kwargs):  # both runs of the halving check see the fault
+            for t_end, states in real(*args, **kwargs):
+                yield t_end, 1.01 * states
 
-        monkeypatch.setattr(adiabatic, "_integrate", scaled)
+        monkeypatch.setattr(adiabatic, "_crossing_states", scaled)
         with pytest.raises(NumericalInvariantError, match="trace"):
             integrate_crossing(vacuum(dim31), standard_pulses(AREA, AREA, 1.0), STEPS)
 
@@ -203,7 +212,7 @@ def crossings(draw):
     area = draw(st.floats(1.0, 300.0))
     n_sectors = draw(st.integers(1, 40))
     fewest = int(np.ceil(area * np.sqrt(1.0 + n_sectors) / 2.0))
-    steps = draw(st.integers(max(fewest, 2), fewest + 2 * _CHUNK))
+    steps = draw(st.integers(max(fewest, 2), fewest + 2 * _block(n_sectors) ** 2))
     return area, n_sectors, steps
 
 
@@ -211,8 +220,8 @@ class TestBlockedStepper:
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(crossing=crossings(), seed=st.integers(0, 2**32 - 1))
     @example(crossing=(1.0, 1, 2), seed=0)  # fewer steps than one block
-    @example(crossing=(20.0, 3, _CHUNK - 1), seed=1)  # just under one chunk
-    @example(crossing=(300.0, 40, 7 * _CHUNK + _BLOCK + 5), seed=2)  # ragged last chunk
+    @example(crossing=(20.0, 3, _block(3) ** 2 - 1), seed=1)  # just under one chunk
+    @example(crossing=(300.0, 40, 7 * _block(40) ** 2 + _block(40) + 5), seed=2)  # ragged last chunk
     def test_matches_per_step_loop(self, crossing, seed):
         area, n_sectors, steps = crossing
         rng = np.random.default_rng(seed)
@@ -233,6 +242,72 @@ class TestBlockedStepper:
         y = ref[:, n]
         worst = min(1.0, np.min(np.sum(dark * y, axis=1) ** 2 / np.sum(y * y, axis=1)))
         assert abs(minimum_dark_overlap(pulses, n, steps) - worst) <= 1e-12
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        g_max=st.floats(1.0, 300.0),
+        omega_max=st.floats(1.0, 300.0),
+        t_cross=st.floats(0.5, 2.0),
+        delay=st.floats(0.0, 1.0),
+        width=st.floats(0.25, 1.0),
+        n_sectors=st.integers(1, 40),
+        extra=st.integers(0, 200),
+    )
+    def test_step_matrices_match_one_reference_step(
+        self, g_max, omega_max, t_cross, delay, width, n_sectors, extra
+    ):
+        # delay and width as fractions of t_cross keep both pulses well above 0 at t = 0
+        pulses = PulsePair(g_max, omega_max, t_cross, delay * t_cross + 1e-3, width * t_cross)
+        steps = int(np.ceil(max(g_max, omega_max) * t_cross * np.sqrt(1.0 + n_sectors))) + extra
+        h = t_cross / steps
+        sectors = np.arange(1.0, n_sectors + 1)
+        coef = _step_polynomials(pulses, np.zeros(1), np.full(1, h))[..., 0]
+        got = np.einsum("sp,pij->sij", sectors[:, None] ** np.arange(3), coef)
+        scale = np.ones((n_sectors, 3))
+        scale[:, 2] = np.sqrt(sectors)
+        got = got * scale[:, :, None] / scale[:, None, :]  # back from u = (y0, y1, y2 / sqrt(s))
+        # the first reference step applied to the identity: sector s, column j at row 3 s + j
+        roots = np.repeat(np.sqrt(sectors), 3)
+        ref = reference_states(pulses, roots, steps, np.tile(np.eye(3), (n_sectors, 1)))
+        want = ref[0].reshape(n_sectors, 3, 3).transpose(0, 2, 1)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "area, n_sectors, steps",
+        [
+            (2.0, 1, _block(1) - 1),  # fewer steps than one block
+            (2.0, 40, _block(40) - 1),
+            (100.0, 1, 3 * _block(1) ** 2 + _block(1) + 5),  # ragged last chunk
+            (300.0, 40, 7 * _block(40) ** 2 + _block(40) + 5),
+        ],
+    )
+    def test_final_state_path_matches_per_step_loop(self, area, n_sectors, steps):
+        pulses = standard_pulses(area, area, 1.0)
+        sectors = np.arange(1.0, n_sectors + 1)
+        *_, (t_end, final) = _crossing_states(pulses, sectors, steps, every=False)
+        ref = reference_states(pulses, np.sqrt(sectors), steps)
+        assert final.shape == (3, n_sectors, 1)
+        assert t_end[-1] == pytest.approx(1.0)
+        assert np.max(np.abs(final[:, :, 0].T - ref[-1])) <= 1e-12
+
+    @pytest.mark.parametrize("n_sectors", [32, 128])
+    def test_chunks_stay_within_the_byte_budget(self, n_sectors, monkeypatch):
+        import cavityfeedback.adiabatic as adiabatic
+
+        real, held = adiabatic._step_polynomials, []
+
+        def spy(pulses, t, h):
+            coef = real(pulses, t, h)
+            # the chunk's step matrices, 72 bytes per step and sector, and the
+            # RK4 build's ten coefficient arrays
+            held.append(72 * n_sectors * t.size + 10 * coef.nbytes)
+            return coef
+
+        monkeypatch.setattr(adiabatic, "_step_polynomials", spy)
+        pulses = standard_pulses(AREA, AREA, 1.0)
+        _integrate(pulses, n_sectors, STEPS, np.zeros(n_sectors))
+        assert len(held) > 1
+        assert max(held) <= _CHUNK_BYTES
 
     def test_step_count_validation(self):
         pulses = standard_pulses(AREA, AREA, 1.0)
