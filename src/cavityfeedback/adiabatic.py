@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalInvariantError, TruncationError, check_number
-from .fock import DensityMatrix
+from .fock import _TRACE_TOL, DensityMatrix
 
 _FIDELITY_STEP_TOL = 1e-6
 _TOP_POPULATION_TOL = 1e-10
@@ -205,8 +205,10 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
 
     Returns (final_field, transfer_fidelity, max_excited_population).  The
     integration is repeated at twice the step count; NumericalInvariantError is
-    raised when that changes the transfer fidelity by more than 1e-6, and the
-    finer result is returned otherwise.
+    raised when that changes the transfer fidelity by more than 1e-6, or when
+    the finer run moves the norm of the field's weighted sectors by more than
+    the trace tolerance of a state, 1e-10 (a stable but under-resolved
+    crossing), and the finer result is returned otherwise.
     """
     check_number("steps", steps, 2, integer=True)
     rho = np.asarray(field_rho.elements)
@@ -219,12 +221,19 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
     n_dim = field_rho.dim.size
     # the coarse run feeds only the halving check, so it keeps only its final state
     *_, (_, coarse) = _crossing_states(pulses, np.arange(1.0, n_dim + 1), steps, every=False)
-    fine, peak_e = _integrate(pulses, n_dim, 2 * steps, np.real(np.diag(rho)))
+    populations = np.real(np.diag(rho))
+    fine, peak_e = _integrate(pulses, n_dim, 2 * steps, populations)
     f_coarse = _transfer_fidelity(rho, coarse[2, :, 0])
     f_fine = _transfer_fidelity(rho, fine[:, 2])
     if abs(f_fine - f_coarse) > _FIDELITY_STEP_TOL:
         raise NumericalInvariantError(
             f"transfer fidelity moved by {abs(f_fine - f_coarse):.3e} under step halving"
+        )
+    drift = abs(float(populations @ np.sum(fine**2, axis=1)) - 1.0)
+    if not drift <= _TRACE_TOL:
+        raise NumericalInvariantError(
+            f"trace deviates from 1 by {drift:.3e} after the crossing: steps = {steps} "
+            f"({2 * steps} RK4 steps in the finer run) does not resolve it, raise steps"
         )
     b, c, a = fine[:, 0], fine[:, 1], fine[:, 2]
     final = rho * np.outer(b, b) + rho * np.outer(c, c)

@@ -204,21 +204,13 @@ def cmd_fidelity_cat(cfg):
     dim = FockDim(cfg["dim"])
 
     rho0 = _build_state({"kind": f"cat-{cfg['parity']}", "alpha2": alpha2}, dim, "")
-    columns = {}
-    worst_trace = 0.0
-    for eta in etas:
-        curve = fidelity_curve(rho0, ContinuousParams(1.0, eta), times)
-        columns[eta] = curve.fidelity
-        worst_trace = max(worst_trace, curve.margins.trace_drift)
-    checks = [_check("trace_conservation", worst_trace, 1e-9)]
-    if 0.0 in etas:
-        dev = max(
-            abs(f - cat_fidelity_analytic(alpha2, parity, 1.0, t))
-            for f, t in zip(columns[0.0], times)
-        )
+    curves = {eta: fidelity_curve(rho0, ContinuousParams(1.0, eta), times) for eta in etas}
+    checks = [_check("trace_conservation", max(c.margins.trace_drift for c in curves.values()), 1e-9)]
+    if 0.0 in curves:
+        dev = np.max(np.abs(curves[0.0].fidelity - cat_fidelity_analytic(alpha2, parity, 1.0, times)))
         checks.append(_check("no_feedback_column_vs_closed_form", dev, 1e-6))
     header = ["gamma_t"] + [f"F_eta={eta:g}" for eta in etas]
-    rows = np.column_stack([times] + [columns[eta] for eta in etas])
+    rows = np.column_stack([times] + [curves[eta].fidelity for eta in etas])
     return header, rows, checks, {}
 
 
@@ -239,8 +231,8 @@ def cmd_fidelity_fock(cfg):
     for eta in cfg["eta"]:
         params = ContinuousParams(1.0, eta)
         numeric = fidelity_curve(rho0, params, times).fidelity
-        analytic = [fock_fidelity_analytic(alpha2, beta2, n, m, params, t) for t in times]
-        worst_dev = max(worst_dev, max(abs(a - b) for a, b in zip(numeric, analytic)))
+        analytic = fock_fidelity_analytic(alpha2, beta2, n, m, params, times)
+        worst_dev = max(worst_dev, np.max(np.abs(numeric - analytic)))
         header += [f"F_num_eta={eta:g}", f"F_ana_eta={eta:g}"]
         columns += [numeric, analytic]
     checks = [_check("numeric_vs_analytic", worst_dev, 1e-6)]
@@ -293,23 +285,15 @@ def cmd_strobo_pe(cfg):
     rho0 = _build_state({"kind": "cat-odd", "alpha2": alpha2}, dim, "")
     runs = []
     stationary = []
-    worst_nofb = None
     for mu, gamma_T in cfg["sets"]:
         params = StroboParams(cfg["eta"], mu, gamma_T)
         steps = int(round(gt_max / gamma_T)) + 1
-        seq = run_sequence(rho0, params, steps)
-        runs.append((mu, gamma_T, seq))
+        runs.append((mu, gamma_T, run_sequence(rho0, params, steps)))
         stat = analytic_stationary_state(params, dim)
         stationary.append(float(np.real(stat.elements[1, 1])))
-        if mu == 0.0:
-            dev = max(
-                abs(float(pe) - p_ee_analytic(alpha2, step * gamma_T))
-                for step, pe in enumerate(seq.p_e)
-            )
-            worst_nofb = dev if worst_nofb is None else max(worst_nofb, dev)
-    checks = []
-    if worst_nofb is not None:
-        checks.append(_check("no_feedback_vs_closed_form", worst_nofb, 1e-8))
+    nofb = [np.max(np.abs(seq.p_e - p_ee_analytic(alpha2, np.arange(seq.p_e.size) * gamma_T)))
+            for mu, gamma_T, seq in runs if mu == 0.0]
+    checks = [_check("no_feedback_vs_closed_form", max(nofb), 1e-8)] if nofb else []
     prob_dev = max(np.max(np.abs(seq.p_e + seq.p_g - 1.0)) for _, _, seq in runs)
     checks.append(_check("probability_normalisation", prob_dev, 1e-10))
 
@@ -342,9 +326,8 @@ def cmd_qubit_protect(cfg):
     if n == m:
         raise ConfigError("n", "n and m must differ")
     spec = QubitSpec(n, m)
-    curve = [min_fidelity(spec, eta, t) for t in times]
-    table_etas = [round(0.01 * k, 2) for k in range(100)]
-    table = [[e, optimal_n(e)] for e in table_etas]
+    curve = min_fidelity(spec, eta, times)
+    table = [[e, optimal_n(e)] for e in (round(0.01 * k, 2) for k in range(100))]
     thresh = threshold_eta()
     checks = [
         _check("f_min_at_zero", curve[0] - 1.0, 1e-12),

@@ -33,7 +33,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from ._blas import threads
-from .errors import NumericalInvariantError, TruncationError, check_number
+from .errors import NumericalInvariantError, TruncationError, check_number, check_times
 from .fock import CatParity, DensityMargins, DensityMatrix, check_density
 
 _TOP_POPULATION_TOL = 1e-8
@@ -61,10 +61,7 @@ def _band_generator(eta: float, p: int, length: int):
 
 def _band_propagator(eta: float, gamma_t: float, p: int, length: int) -> np.ndarray:
     diag, upper = _band_generator(eta, p, length)
-    gen = np.diag(diag)
-    if length > 1:
-        gen += np.diag(upper, 1)
-    return expm(gamma_t * gen).astype(complex)
+    return expm(gamma_t * (np.diag(diag) + np.diag(upper, 1))).astype(complex)
 
 
 def _propagate(mat: np.ndarray, step_matrix, steps: int) -> np.ndarray:
@@ -112,10 +109,12 @@ def _check_top_population(rho: DensityMatrix):
         )
 
 
-def _check_rate_and_time(gamma: float, t: float, name: str = "t"):
-    """ValueError unless gamma > 0, the time `name` >= 0 and their product are finite numbers."""
-    product = check_number("gamma", gamma, 0, lo_open=True) * check_number(name, t, 0)
-    check_number(f"gamma * {name}", product, 0)
+def _check_rate_and_time(gamma: float, t, name: str = "t", *, array: bool = False):
+    """gamma * t; ValueError unless gamma > 0, each time `name` >= 0 and gamma * t are finite numbers."""
+    gamma = check_number("gamma", gamma, 0, lo_open=True)
+    time = check_times(name, t) if array else check_number(name, t, 0)
+    with np.errstate(over="ignore"):  # an overflowing product fails its own check
+        return check_times(f"gamma * {name}", gamma * time)
 
 
 def _uniform_steps(times) -> tuple:
@@ -206,59 +205,47 @@ def standard_phase_diffusion(rho0: DensityMatrix, gamma: float, t: float) -> Den
     return DensityMatrix.from_map((rho0.elements * factor)[None], rho0.dim)
 
 
-def cat_fidelity_analytic(alpha2: float, parity: CatParity, gamma: float, t: float) -> float:
+def cat_fidelity_analytic(alpha2: float, parity: CatParity, gamma: float, t):
     """No-feedback fidelity of an even/odd cat with squared amplitude alpha2.
 
     Closed form for a cat state relaxing in a vacuum bath; the overlap of the
     decayed state with the initial one factorises into an interference weight,
-    an amplitude-shrinkage Gaussian and a parity-projection ratio.
+    an amplitude-shrinkage Gaussian and a parity-projection ratio.  A float
+    for one time t, an array for an array of times.
     """
     check_number("alpha2", alpha2, 0, lo_open=True)
-    _check_rate_and_time(gamma, t)
+    gt = _check_rate_and_time(gamma, t, array=True)
     s = parity.sign
-    e1 = np.exp(-gamma * t)
-    eh = np.exp(-gamma * t / 2.0)
+    e1 = np.exp(-gt)
+    eh = np.exp(-gt / 2.0)
     front = (1.0 + np.exp(-2.0 * alpha2 * (1.0 - e1))) / 2.0
     shrink = np.exp(-alpha2 * (1.0 - eh) ** 2)
     ratio = (1.0 + s * np.exp(-2.0 * alpha2 * eh)) / (1.0 + s * np.exp(-2.0 * alpha2))
-    return float(front * shrink * ratio**2)
+    return front * shrink * ratio**2
 
 
-def fock_fidelity_analytic(
-    abs_alpha2: float,
-    abs_beta2: float,
-    n: int,
-    m: int,
-    params: ContinuousParams,
-    t: float,
-) -> float:
+def fock_fidelity_analytic(abs_alpha2: float, abs_beta2: float, n: int, m: int, params: ContinuousParams, t):
     """Fidelity of the superposition a|n> + b|m> (m > n) under feedback.
 
     Four contributions: the two surviving populations, the coherence between
     the levels, and the population transferred from m down to n by the
-    residual damping channel (binomial in the m - n lost quanta).
+    residual damping channel (binomial in the m - n lost quanta).  A float for
+    one time t, an array for an array of times.
     """
     check_number("n", n, 0, integer=True)
     check_number("m", m, n, lo_open=True, integer=True)
-    _check_rate_and_time(params.gamma, t)
+    gt = _check_rate_and_time(params.gamma, t, array=True)
     check_number("abs_alpha2", abs_alpha2, 0, 1)  # and abs_beta2 with it, through the norm
     if not abs(abs_alpha2 + abs_beta2 - 1.0) <= 1e-10:  # negated, so that NaN fails too
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     a2, b2 = abs_alpha2, abs_beta2
-    gt = params.gamma * t
     eta = params.eta
     damp = (1.0 - eta) * gt
     log_binom = gammaln(m + 1) - gammaln(n + 1) - gammaln(m - n + 1)
     surv = a2**2 * np.exp(-n * damp) + b2**2 * np.exp(-m * damp)
     cross = 2.0 * a2 * b2 * np.exp(-gt * ((m + n) / 2.0 - eta * np.sqrt(n * m)))
-    repop = (
-        a2
-        * b2
-        * np.exp(log_binom)
-        * np.exp(-n * damp)
-        * (1.0 - np.exp(-damp)) ** (m - n)
-    )
-    return float(surv + cross + repop)
+    repop = a2 * b2 * np.exp(log_binom) * np.exp(-n * damp) * (1.0 - np.exp(-damp)) ** (m - n)
+    return surv + cross + repop
 
 
 def mean_amplitude_ideal(rho0: DensityMatrix, gamma: float, t: float) -> complex:

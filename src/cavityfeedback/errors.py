@@ -7,7 +7,8 @@ decides the CLI exit code:
   cat of vanishing amplitude or operands of different dimension.  Every
   numeric argument and config number must be a finite number, a count an
   integer, and a bool is neither; `check_number` (`check_complex` for a
-  complex number) is the one check of that, naming the key or argument at fault;
+  complex number, `check_times` for one time or an array of times) is the one
+  check of that, naming the key or argument at fault;
 - a `NumericalInvariantError` (exit 3): a self-check of the library's own
   computation failed, such as the trace of a map's output, a quadrature, the
   step-halving check of the crossing or the spectral radius of a step matrix;
@@ -16,6 +17,8 @@ decides the CLI exit code:
 """
 import math
 import numbers
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -68,3 +71,20 @@ def check_complex(name, value) -> complex:
         return complex(check_number(name, value.real), check_number(name, value.imag))
     except ConfigError:  # name the whole value, not the part at fault
         raise ConfigError(name, f"must be a finite number, got {value!r}") from None
+
+
+def check_times(name, t):
+    """`t` as a float, or an array of times as a float array, if each time is a finite number >= 0.
+
+    An array is checked through its extremes, so a bad time gets the message
+    of that one time (NaN anywhere makes both NaN); it must be a non-empty
+    array of integers or floats.
+    """
+    if np.ndim(t) == 0:
+        return check_number(name, t, 0)
+    times = np.asarray(t)
+    if times.size == 0 or times.dtype.kind not in "iuf":
+        raise ConfigError(name, f"expected a number or a non-empty array of numbers, got {t!r}")
+    check_number(name, times.min().item(), 0)
+    check_number(name, times.max().item(), 0)
+    return times.astype(float, copy=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalInvariantError, check_number
+from .errors import NumericalInvariantError, check_number, check_times
 
 _THRESHOLD_TOL = 1e-12
 
@@ -35,17 +35,20 @@ class QubitSpec:
             raise ValueError("need m != n")
 
 
-def min_fidelity(spec: QubitSpec, eta: float, gamma_t: float) -> float:
-    """Worst-case fidelity over all input qubits with photon numbers (n, m)."""
+def min_fidelity(spec: QubitSpec, eta: float, gamma_t):
+    """Worst-case fidelity over all input qubits with photon numbers (n, m).
+
+    A float for one time gamma_t, an array for an array of times.
+    """
     check_number("eta", eta, 0, 1)
-    check_number("gamma_t", gamma_t, 0)
+    gamma_t = check_times("gamma_t", gamma_t)
     n, m = spec.n, spec.m
     damped = np.exp(-(1.0 - eta) * gamma_t * (n + m))
     coherence = np.exp(-gamma_t * (n + m - 2.0 * eta * np.sqrt(n * m)))
-    return float(0.5 * (damped + coherence))
+    return 0.5 * (damped + coherence)
 
 
-def _pair_objective(n: int, eta: float) -> float:
+def _pair_objective(n, eta: float):
     s = (np.sqrt(n + 1.0) + np.sqrt(n)) ** 2
     return 1.0 / s + (1.0 - eta) * s
 
@@ -59,16 +62,13 @@ def optimal_n(eta: float) -> int:
     check_number("eta", eta, 0, 1)
     if eta == 1.0:
         raise ValueError("for eta = 1 the optimum grows without bound")
-    # objective is unimodal in s and s(n) ~ 4n, so the optimum sits near
-    # s = (1 - eta)^(-1/2); scan a comfortable margin around it
+    # the objective is unimodal in s, and approx_n_opt is the n at its minimum
+    # s = (1 - eta)^(-1/2), so the optimum is one of the two integers around it;
+    # scan a margin of 8 either side (a fixed size, however close eta is to 1),
+    # where argmin returns the first of equal minima
     n_hint = approx_n_opt(eta)
-    n_hi = int(np.ceil(4.0 * n_hint)) + 8
-    best_n, best_val = 0, _pair_objective(0, eta)
-    for n in range(1, n_hi + 1):
-        val = _pair_objective(n, eta)
-        if val < best_val:
-            best_n, best_val = n, val
-    return best_n
+    n = np.arange(max(0, int(n_hint) - 8), int(np.ceil(n_hint)) + 9)
+    return int(n[np.argmin(_pair_objective(n, eta))])
 
 
 def approx_n_opt(eta: float) -> float:

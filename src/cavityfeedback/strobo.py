@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
 from .continuous import _propagate
-from .errors import NumericalInvariantError, TruncationError, check_number
+from .errors import NumericalInvariantError, TruncationError, check_number, check_times
 from .fock import DensityMatrix, FockDim
 
 _TOP_POPULATION_TOL = 1e-10
@@ -189,18 +189,18 @@ def analytic_stationary_state(params: StroboParams, dim: FockDim) -> DensityMatr
     return DensityMatrix.from_map(np.diag(diag)[None], dim)
 
 
-def p_ee_analytic(alpha2: float, gamma_T_total: float) -> float:
+def p_ee_analytic(alpha2: float, gamma_T_total):
     """Probability of a second e detection after preparing an odd cat.
 
     Closed form for pure dissipation: unity at zero delay, decaying through
-    the parity of the damped cat state.
+    the parity of the damped cat state.  A float for one delay gamma_T_total,
+    an array for an array of delays.
     """
     check_number("alpha2", alpha2, 0, lo_open=True)
-    check_number("gamma_T_total", gamma_T_total, 0)
-    decay = np.exp(-gamma_T_total)
+    decay = np.exp(-check_times("gamma_T_total", gamma_T_total))
     num = np.exp(-2.0 * alpha2 * decay) - np.exp(-2.0 * alpha2 * (1.0 - decay))
     den = 1.0 - np.exp(-2.0 * alpha2)
-    return float(0.5 * (1.0 - num / den))
+    return 0.5 * (1.0 - num / den)
 
 
 class DetectionSequence(NamedTuple):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import NumericalInvariantError, check_number
-from .fock import DensityMatrix
+from .fock import DensityMatrix, _freeze
 
 _QUAD_HARD_TOL = 1e-2
 
@@ -31,9 +31,7 @@ def _axis(name: str, values) -> np.ndarray:
     ax = np.asarray(values, dtype=float)
     if not (ax.ndim == 1 and ax.size >= 2 and np.isfinite(ax).all() and np.all(ax[1:] > ax[:-1])):
         raise ValueError(f"{name} axis must be finite and strictly increasing with >= 2 points")
-    ax = np.ascontiguousarray(ax)
-    ax.setflags(write=False)
-    return ax
+    return _freeze(ax)
 
 
 @dataclass(frozen=True)
@@ -83,9 +81,7 @@ class WignerGrid:
         vals = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise NumericalInvariantError("Wigner values must be finite")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _freeze(vals))
 
 
 def default_cartesian_grid(extent: float = 4.5, points: int = 121) -> CartesianGrid:

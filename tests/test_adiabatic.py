@@ -155,6 +155,15 @@ class TestIntegrateCrossing:
         with pytest.raises(NumericalInvariantError, match="under step halving"):
             integrate_crossing(vacuum(dim31), pulses, steps=30)
 
+    @pytest.mark.parametrize("steps", [300, 500])
+    def test_a_stable_under_resolved_crossing_asks_for_more_steps(self, dim31, steps):
+        # RK4 is stable here, so step halving moves the fidelity by less than 1e-6,
+        # but the finer run's norm drifts past the trace tolerance of a state
+        pulses = standard_pulses(AREA, AREA, 1.0)
+        message = rf"^trace deviates from 1 by .* after the crossing: steps = {steps} .* raise steps$"
+        with pytest.raises(NumericalInvariantError, match=message):
+            integrate_crossing(vacuum(dim31), pulses, steps)
+
     def test_top_level_population_rejected(self):
         dim = FockDim(3)
         rho = DensityMatrix.from_state(fock_superposition([(3, 1.0)], dim))

@@ -394,6 +394,15 @@ class TestFailureClasses:
         assert run_cli(args + ["--out", tmp_path / "out.csv"]) == 3
         assert "numerical failure: matrix is not Hermitian" in capsys.readouterr().err
 
+    def test_an_under_resolved_crossing_exits_3_naming_its_steps(self, tmp_path, capsys):
+        (tmp_path / "area.json").write_text(json.dumps({"areas": [100.0]}))
+        args = ["adiabatic", "--config", tmp_path / "area.json", "--steps", 300, "--out", tmp_path / "a.csv"]
+        assert run_cli(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: trace deviates from 1 by 8.605e-09")
+        assert "steps = 300" in err and "raise steps" in err
+        assert not (tmp_path / "a.csv").exists()
+
     def test_detection_probabilities_that_miss_one_exit_3(self, tmp_path, monkeypatch, capsys):
         real = strobo.evolve_strobo
 
@@ -548,7 +557,7 @@ class TestCsvWriter:
         assert cli._csv_text(["a", "b"], table) == "a,b\n0,1\n2,\n"
 
     def test_non_finite_output_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "min_fidelity", lambda *a: float("nan"))
+        monkeypatch.setattr(cli, "min_fidelity", lambda spec, eta, t: np.full(np.shape(t), np.nan))
         out = tmp_path / "qb.csv"
         assert run_cli(["qubit-protect", "--steps", 3, "--out", out]) == 3
         assert "numerical failure: non-finite value" in capsys.readouterr().err

@@ -127,6 +127,13 @@ class TestOptimalN:
     def test_matches_brute_force(self, eta):
         assert optimal_n(eta) == brute_force_n_opt(eta)
 
+    @pytest.mark.parametrize("eta", [1.0 - 1e-15, float(np.nextafter(1.0, 0.0))])
+    def test_close_to_unit_efficiency_the_optimum_is_next_to_the_hint(self, eta):
+        # about 3e7 and 9e7 photons: the scan stays a few numbers wide
+        n, hint = optimal_n(eta), approx_n_opt(eta)
+        assert abs(n - hint) < 1.0
+        assert pair_objective(n, 1, eta) <= min(pair_objective(n - 1, 1, eta), pair_objective(n + 1, 1, eta))
+
     def test_unbounded_at_unit_efficiency(self):
         with pytest.raises(ValueError, match="grows without bound"):
             optimal_n(1.0)
