@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from .adiabatic import (
     PulsePair,
     adiabaticity_report,
-    dark_state,
     integrate_crossing,
-    minimum_dark_overlap,
     standard_pulses,
 )
 from .continuous import (
@@ -38,7 +36,6 @@ from .fock import (
     coherent_state,
     fidelity,
     fock_superposition,
-    mean_amplitude,
     parity_expectation,
     trace_distance,
 )
@@ -56,7 +53,6 @@ from .strobo import (
     analytic_stationary_state,
     evolve_strobo,
     p_ee_analytic,
-    resonance_angle,
     run_sequence,
 )
 from .wigner import (

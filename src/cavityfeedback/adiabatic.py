@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalInvariantError, TruncationError, check_number
-from .fock import _TRACE_TOL, DensityMatrix
+from .fock import _CHUNK_BYTES, _TRACE_TOL, DensityMatrix
 
 _FIDELITY_STEP_TOL = 1e-6
 _TOP_POPULATION_TOL = 1e-10
@@ -80,26 +80,9 @@ def standard_pulses(g_max: float, omega_max: float, t_cross: float) -> PulsePair
     return PulsePair(g_max, omega_max, t_cross, t_cross / 4.0, t_cross / 6.0)
 
 
-def dark_state(n: int, g, omega) -> np.ndarray:
-    """Zero-energy sector eigenvector (g sqrt(n+1), 0, omega), normalised.
-
-    g and omega may be arrays of one shape; the components then run along
-    the first axis of the result.
-    """
-    check_number("n", n, 0, integer=True)
-    big_g = g * np.sqrt(n + 1.0)
-    norm2 = big_g**2 + omega**2
-    if not np.all((norm2 > 0.0) & (norm2 < np.inf)):  # negated, so that NaN fails too
-        raise ValueError("dark state undefined unless the couplings are finite and not both zero")
-    return np.stack((big_g, np.zeros_like(big_g), omega)) / np.sqrt(norm2)
-
-
 # A chunk is b blocks of b steps and costs about 3 * b numpy calls instead of
 # b**2.  Per step it holds a 3x3 matrix (72 bytes) for every sector, and about
 # 30 matrices' worth of RK4 coefficients while they are built.
-_CHUNK_BYTES = 2**20
-
-
 def _block(n_sectors: int) -> int:
     """Steps per block, b: a chunk of b * b steps stays within _CHUNK_BYTES."""
     return max(1, math.isqrt(_CHUNK_BYTES // (72 * (n_sectors + 30))))
@@ -139,17 +122,20 @@ def _step_polynomials(pulses: PulsePair, t: np.ndarray, h: np.ndarray) -> np.nda
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _crossing_states(pulses: PulsePair, sectors: np.ndarray, steps: int, every: bool = True):
-    """Classical RK4 from |g1> in the sectors s = n + 1 listed, as floats, in `sectors`.
+def _crossing(pulses: PulsePair, n_sectors: int, steps: int, weights=None):
+    """Classical RK4 from |g1> in the sectors s = n + 1 = 1 .. n_sectors.
 
-    Yields, one chunk of steps at a time, (t_end, y): the time after each
-    step of the chunk and the states there, y[component, sector, step].  The
-    steps carry u = (y0, y1, y2 / sqrt(s)); y2 is scaled back once per chunk.
-    With every=False only each chunk's last state is computed and yielded.
+    Returns the final amplitudes, shape (n_sectors, 3), and, given the field
+    populations as `weights`, the peak excited population they weight over
+    every step (None without them).  The steps carry u = (y0, y1, y2 / sqrt(s));
+    y2 is scaled back once, at the end.  Without weights only each chunk's
+    last state is computed: the last block's product times its start.
     """
+    sectors = np.arange(1.0, n_sectors + 1)
     h, powers = pulses.t_cross / steps, sectors[:, None] ** np.arange(3)
-    n_sec, n_b = len(sectors), _block(len(sectors))
-    chunk, u = n_b * n_b, np.eye(3, 1).repeat(n_sec, axis=1)  # |g1> in every sector
+    n_b = _block(n_sectors)
+    chunk, u = n_b * n_b, np.eye(3, 1).repeat(n_sectors, axis=1)  # |g1> in every sector
+    peak_e = None if weights is None else 0.0  # |g1> has no excited population
     for first in range(0, steps, chunk):
         # step first + b * n_b + j sits at [j, b]; steps past the end get h = 0
         index = first + np.arange(chunk).reshape(n_b, n_b).T
@@ -157,41 +143,27 @@ def _crossing_states(pulses: PulsePair, sectors: np.ndarray, steps: int, every: 
         # m[j][:, :, s, b] is the matrix of step j of block b in sector s; one
         # array per j keeps each allocation small, so the heap does not grow
         per_step = coef.reshape(3, 9, n_b, n_b).transpose(2, 1, 0, 3)
-        m = [np.matmul(powers, c).reshape(3, 3, n_sec, n_b) for c in per_step]
+        m = [np.matmul(powers, c).reshape(3, 3, n_sectors, n_b) for c in per_step]
         block = m[0]  # product of each block's steps, all blocks at once
         for j in range(1, n_b):
             block = np.einsum("ijsb,jksb->iksb", m[j], block)
-        starts = np.empty((3, n_sec, n_b))  # block start states, one after another
+        starts = np.empty((3, n_sectors, n_b))  # block start states, one after another
         starts[:, :, 0] = u
         for b in range(1, n_b):
             starts[:, :, b] = np.einsum("ijs,js->is", block[..., b - 1], starts[:, :, b - 1])
-        count = min(chunk, steps - first)
-        t_end = (first + np.arange(count)) * h + h
-        if every:
-            states = np.empty((3, n_sec, n_b, n_b))  # every state, all blocks at once
-            u = starts
-            for j in range(n_b):
-                u = np.einsum("ijsb,jsb->isb", m[j], u)
-                states[..., j] = u
-            states = states.reshape(3, n_sec, chunk)[:, :, :count]
-        else:  # the last block's product times its start
-            states = np.einsum("ijs,js->is", block[..., -1], starts[:, :, -1])[..., None]
-            t_end = t_end[-1:]
-        u = states[:, :, -1].copy()
-        states[2] *= np.sqrt(sectors)[:, None]
-        yield t_end, states
-
-
-def _integrate(pulses: PulsePair, n_sectors: int, steps: int, weights: np.ndarray):
-    """Propagate every sector from |g1,n>; returns final amplitudes and peaks.
-
-    The amplitudes have shape (n_sectors, 3).  weights are the field
-    populations used for the excited-state bookkeeping.
-    """
-    peak_e = 0.0  # the start state |g1> has no excited population
-    for _, y in _crossing_states(pulses, np.arange(1.0, n_sectors + 1), steps):
-        peak_e = max(peak_e, float(np.max(weights @ y[1] ** 2)))
-    return y[:, :, -1].T, peak_e
+        if weights is None:
+            u = np.einsum("ijs,js->is", block[..., -1], starts[:, :, -1])
+            continue
+        states = np.empty((3, n_sectors, n_b, n_b))  # every state, all blocks at once
+        u = starts
+        for j in range(n_b):
+            u = np.einsum("ijsb,jsb->isb", m[j], u)
+            states[..., j] = u
+        states = states.reshape(3, n_sectors, chunk)[:, :, :min(chunk, steps - first)]
+        u = states[:, :, -1]
+        peak_e = max(peak_e, float(np.max(weights @ states[1] ** 2)))
+    u[2] *= np.sqrt(sectors)
+    return u.T, peak_e
 
 
 def _transfer_fidelity(rho: np.ndarray, a: np.ndarray) -> float:
@@ -220,10 +192,10 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
         )
     n_dim = field_rho.dim.size
     # the coarse run feeds only the halving check, so it keeps only its final state
-    *_, (_, coarse) = _crossing_states(pulses, np.arange(1.0, n_dim + 1), steps, every=False)
+    coarse, _ = _crossing(pulses, n_dim, steps)
     populations = np.real(np.diag(rho))
-    fine, peak_e = _integrate(pulses, n_dim, 2 * steps, populations)
-    f_coarse = _transfer_fidelity(rho, coarse[2, :, 0])
+    fine, peak_e = _crossing(pulses, n_dim, 2 * steps, populations)
+    f_coarse = _transfer_fidelity(rho, coarse[:, 2])
     f_fine = _transfer_fidelity(rho, fine[:, 2])
     if abs(f_fine - f_coarse) > _FIDELITY_STEP_TOL:
         raise NumericalInvariantError(
@@ -240,22 +212,6 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
     shifted = rho * np.outer(a, a)
     final[1:, 1:] += shifted[:-1, :-1]
     return DensityMatrix.from_map(final[None], field_rho.dim), f_fine, peak_e
-
-
-def minimum_dark_overlap(pulses: PulsePair, n: int, steps: int) -> float:
-    """Smallest squared overlap with the instantaneous dark state over a crossing.
-
-    Diagnostic for the adiabatic-following quality of one photon sector.
-    """
-    check_number("n", n, 0, integer=True)
-    check_number("steps", steps, 1, integer=True)
-    worst = 1.0
-    for t_end, states in _crossing_states(pulses, np.array([n + 1.0]), steps):
-        dark = dark_state(n, *pulses.values(t_end))
-        y = states[:, 0]
-        overlap = np.sum(dark * y, axis=0) ** 2 / np.sum(y * y, axis=0)
-        worst = min(worst, float(np.min(overlap)))
-    return worst
 
 
 class InequalityCheck(NamedTuple):

@@ -27,6 +27,8 @@ _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _EIG_FLOOR = -1e-10
 _TAIL_TOL = 1e-10
+# the memory of one chunk: strobo states and padded band entries, crossing step matrices
+_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -293,13 +295,6 @@ def fidelity(rho0: DensityMatrix, rho_t: DensityMatrix) -> float:
         raise ValueError(f"dims differ: {rho0.dim} vs {rho_t.dim}")
     val = complex(np.vdot(rho0.elements, rho_t.elements))
     return float(val.real)
-
-
-def mean_amplitude(rho: DensityMatrix) -> complex:
-    """Mean field amplitude <a> = sum_n sqrt(n+1) rho_{n+1,n}."""
-    n = np.arange(rho.dim.size - 1)
-    sub = np.diagonal(rho.elements, offset=-1)
-    return complex(np.sum(np.sqrt(n + 1.0) * sub))
 
 
 def trace_distance(rho_a: DensityMatrix, rho_b: DensityMatrix) -> float:

@@ -37,12 +37,10 @@ from scipy.special import gammaln
 
 from .continuous import _propagate
 from .errors import NumericalInvariantError, TruncationError, check_number, check_times
-from .fock import DensityMatrix, FockDim
+from .fock import _CHUNK_BYTES, _TRACE_TOL, DensityMatrix, FockDim
 
 _TOP_POPULATION_TOL = 1e-10
 _SPECTRAL_TOL = 1e-10
-_TRACE_TOL = 1e-10
-_CHUNK_BYTES = 2**20  # states per chunk of at least 16 periods, and padded band entries per block
 
 
 @dataclass(frozen=True)
@@ -233,10 +231,3 @@ def run_sequence(rho0: DensityMatrix, params: StroboParams, steps: int) -> Detec
     p_e.setflags(write=False)
     p_g.setflags(write=False)
     return DetectionSequence(p_e, p_g)
-
-
-def resonance_angle(n_bar: float, m: int) -> float:
-    """Feedback angle maximising photon release at mean photon number n_bar."""
-    check_number("n_bar", n_bar, 0, lo_open=True)
-    check_number("m", m, 0, integer=True)
-    return float(np.pi * (m + 0.5) / np.sqrt(n_bar))

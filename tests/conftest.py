@@ -51,6 +51,16 @@ def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
     return DensityMatrix.from_map(np.diag(vec.astype(complex))[None], dim)
 
 
+def mean_amplitude(rho: DensityMatrix) -> complex:
+    """Mean field amplitude <a> = sum_n sqrt(n+1) rho_{n+1,n}.
+
+    The oracle of `mean_amplitude_ideal` and of the coherent and cat amplitudes.
+    """
+    n = np.arange(rho.dim.size - 1)
+    sub = np.diagonal(rho.elements, offset=-1)
+    return complex(np.sum(np.sqrt(n + 1.0) * sub))
+
+
 def fake_pool(count: int, events: list) -> Pool:
     """A stand-in OpenBLAS pool at `count` threads that logs every count it is set to."""
     counts = [count]

@@ -4,26 +4,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavityfeedback import (
+    CatParity,
     DensityMatrix,
     FockDim,
     NumericalInvariantError,
     PulsePair,
     adiabaticity_report,
+    cat_state,
     coherent_state,
-    dark_state,
     fidelity,
     fock_superposition,
     integrate_crossing,
-    minimum_dark_overlap,
     standard_pulses,
 )
-from cavityfeedback.adiabatic import (
-    _CHUNK_BYTES,
-    _block,
-    _crossing_states,
-    _integrate,
-    _step_polynomials,
-)
+from cavityfeedback.adiabatic import _CHUNK_BYTES, _block, _crossing, _step_polynomials
 
 AREA = 100.0
 STEPS = 3000
@@ -67,24 +61,31 @@ def vacuum(dim):
     return DensityMatrix.from_state(fock_superposition([(0, 1.0)], dim))
 
 
-class TestDarkState:
-    def test_cavity_coupling_only(self):
-        assert np.array_equal(dark_state(3, 1.0, 0.0), [1.0, 0.0, 0.0])
+def one_photon_up(rho):
+    """The ideal crossing's output: every element rho_nm moved to rho_{n+1,m+1}."""
+    shifted = np.zeros_like(rho.elements)
+    shifted[1:, 1:] = rho.elements[:-1, :-1]
+    return DensityMatrix.from_map(shifted[None], rho.dim)
 
-    def test_classical_field_only(self):
-        assert np.array_equal(dark_state(3, 0.0, 2.0), [0.0, 0.0, 1.0])
 
-    def test_balanced_couplings_ground_sector(self):
-        got = dark_state(0, 1.3, 1.3)
-        assert np.allclose(got, [1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)])
-
-    def test_no_excited_component(self):
-        for n in (0, 2, 7):
-            assert dark_state(n, 0.7, 1.9)[1] == 0.0
-
-    def test_degenerate_couplings_rejected(self):
-        with pytest.raises(ValueError, match="dark state undefined"):
-            dark_state(2, 0.0, 0.0)
+_DIM31 = FockDim(31)
+_FIELDS = {
+    "vacuum": lambda: vacuum(_DIM31),
+    "fock-3": lambda: DensityMatrix.from_state(fock_superposition([(3, 1.0)], _DIM31)),
+    "coherent": lambda: DensityMatrix.from_state(coherent_state(np.sqrt(3.3), _DIM31)),
+    "cat-even": lambda: DensityMatrix.from_state(cat_state(np.sqrt(3.3), CatParity.EVEN, _DIM31)),
+    "cat-odd": lambda: DensityMatrix.from_state(cat_state(np.sqrt(3.3), CatParity.ODD, _DIM31)),
+    "complex-superposition": lambda: DensityMatrix.from_state(
+        fock_superposition([(0, 0.6), (2, 0.48j), (5, -0.64)], _DIM31)
+    ),
+    "mixed": lambda: DensityMatrix.from_map(
+        (
+            0.5 * vacuum(_DIM31).elements
+            + 0.5 * DensityMatrix.from_state(coherent_state(1.5j, _DIM31)).elements
+        )[None],
+        _DIM31,
+    ),
+}
 
 
 class TestPulsePair:
@@ -174,41 +175,97 @@ class TestIntegrateCrossing:
     def test_fault_in_the_stepper_is_numerical(self, dim31, monkeypatch):
         import cavityfeedback.adiabatic as adiabatic
 
-        real = adiabatic._crossing_states
+        real = adiabatic._crossing
 
-        def scaled(*args, **kwargs):  # both runs of the halving check see the fault
-            for t_end, states in real(*args, **kwargs):
-                yield t_end, 1.01 * states
+        def scaled(*args):  # both runs of the halving check see the fault
+            final, peak_e = real(*args)
+            return 1.01 * final, peak_e
 
-        monkeypatch.setattr(adiabatic, "_crossing_states", scaled)
+        monkeypatch.setattr(adiabatic, "_crossing", scaled)
         with pytest.raises(NumericalInvariantError, match="trace"):
             integrate_crossing(vacuum(dim31), standard_pulses(AREA, AREA, 1.0), STEPS)
 
+    @pytest.mark.parametrize("field", sorted(_FIELDS))
+    def test_every_field_state_moves_up_by_one_photon(self, field):
+        # the scheme's promise: the atom hands the field exactly one photon and
+        # keeps its coherences, for pure, mixed and complex states alike
+        rho = _FIELDS[field]()
+        final, fid, peak = integrate_crossing(rho, standard_pulses(AREA, AREA, 1.0), STEPS)
+        target = one_photon_up(rho)
+        # both fidelities are the overlap Tr(rho_out rho_target), at most the purity
+        purity = np.sum(np.abs(rho.elements) ** 2)
+        assert fid >= 0.999 * purity
+        assert fidelity(final, target) >= 0.999 * purity
+        assert peak < 1e-2
+        assert np.max(np.abs(final.elements - target.elements)) < 1e-3
+        assert abs(final.mean_photon_number() - rho.mean_photon_number() - 1.0) < 1e-3
+
+    def test_the_finer_run_is_returned(self, dim31):
+        pulses = standard_pulses(AREA, AREA, 1.0)
+        rho = DensityMatrix.from_state(coherent_state(np.sqrt(3.3), dim31))
+        final, fid, peak = integrate_crossing(rho, pulses, STEPS)
+        populations = np.real(np.diag(rho.elements))
+
+        def joint_map(amplitudes):  # rho_nm b_n b_m + rho_nm c_n c_m, plus the shifted rho_nm a_n a_m
+            b, c, a = amplitudes.T
+            out = rho.elements * np.outer(b, b) + rho.elements * np.outer(c, c)
+            out[1:, 1:] += (rho.elements * np.outer(a, a))[:-1, :-1]
+            return out
+
+        fine, fine_peak = _crossing(pulses, dim31.size, 2 * STEPS, populations)
+        coarse, _ = _crossing(pulses, dim31.size, STEPS)
+        assert peak == fine_peak
+        assert fid == pytest.approx(fine[:, 2] @ np.abs(rho.elements) ** 2 @ fine[:, 2], abs=1e-15)
+        assert np.max(np.abs(final.elements - joint_map(fine))) <= 1e-15
+        assert np.max(np.abs(final.elements - joint_map(coarse))) > 1e-12
+
+    def test_the_halving_check_makes_one_coarse_and_one_weighted_call(self, dim31, monkeypatch):
+        import cavityfeedback.adiabatic as adiabatic
+
+        real, calls = adiabatic._crossing, []
+
+        def spy(pulses, n_sectors, steps, weights=None):
+            calls.append((n_sectors, steps, weights))
+            return real(pulses, n_sectors, steps, weights)
+
+        monkeypatch.setattr(adiabatic, "_crossing", spy)
+        rho = DensityMatrix.from_state(coherent_state(np.sqrt(3.3), dim31))
+        integrate_crossing(rho, standard_pulses(AREA, AREA, 1.0), STEPS)
+        assert [(n, steps) for n, steps, _ in calls] == [(dim31.size, STEPS), (dim31.size, 2 * STEPS)]
+        assert calls[0][2] is None
+        assert np.array_equal(calls[1][2], np.real(np.diag(rho.elements)))
+
     def test_unitarity_norm_drift(self):
         pulses = standard_pulses(AREA, AREA, 1.0)
-        final = _integrate(pulses, 32, 2 * STEPS, np.zeros(32))[0]
+        final = _crossing(pulses, 32, 2 * STEPS, np.zeros(32))[0]
         assert np.max(np.abs(np.sum(final**2, axis=1) - 1.0)) < 1e-9
 
     def test_adiabatic_amplitudes_concentrate_on_transfer(self):
         pulses = standard_pulses(AREA, AREA, 1.0)
-        final = _integrate(pulses, 8, STEPS, np.zeros(8))[0]
+        final = _crossing(pulses, 8, STEPS, np.zeros(8))[0]
         assert np.min(final[:, 2] ** 2) > 0.999
 
 
-class TestDarkStateTracking:
-    def test_overlap_stays_high_in_deep_adiabatic_regime(self):
-        pulses = standard_pulses(300.0, 300.0, 1.0)
-        for n in (0, 1, 4, 7):
-            assert minimum_dark_overlap(pulses, n, STEPS) >= 0.999
+class TestDarkStateFollowing:
+    """In sector n the dark state cos|g1, n+1> - sin|g2, n> has no excited part.
 
-    def test_dark_states_along_a_pulse(self):
-        pulses = standard_pulses(AREA, AREA, 1.0)
-        g, om = pulses.values(np.linspace(0.0, 1.0, 7))
-        along = dark_state(2, g, om)
-        for i in range(7):
-            assert np.array_equal(along[:, i], dark_state(2, float(g[i]), float(om[i])))
-        with pytest.raises(ValueError, match="dark state undefined"):
-            dark_state(2, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    A crossing that follows it keeps |e> empty and ends in |g2>: the
+    photon-number sectors of the field are followed one by one.
+    """
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 7])
+    def test_deep_adiabatic_sector_keeps_the_excited_state_empty(self, n):
+        weights = np.zeros(8)
+        weights[n] = 1.0
+        final, peak_e = _crossing(standard_pulses(300.0, 300.0, 1.0), 8, STEPS, weights)
+        assert peak_e < 1e-3
+        assert final[n, 2] ** 2 > 0.9999
+
+    @pytest.mark.parametrize("g_max, omega_max", [(100.0, 300.0), (300.0, 100.0), (200.0, 100.0)])
+    def test_unequal_peak_couplings_still_transfer(self, g_max, omega_max):
+        final, peak_e = _crossing(standard_pulses(g_max, omega_max, 1.0), 8, STEPS, np.full(8, 1.0 / 8))
+        assert peak_e < 1e-2
+        assert np.min(final[:, 2] ** 2) > 0.995
 
 
 @st.composite
@@ -236,21 +293,12 @@ class TestBlockedStepper:
         rng = np.random.default_rng(seed)
         weights = rng.random(n_sectors)
         weights /= weights.sum()
-        n = int(rng.integers(n_sectors))
         pulses = standard_pulses(area, area, 1.0)
         roots = np.sqrt(np.arange(1, n_sectors + 1, dtype=float))
         ref = reference_states(pulses, roots, steps)
-        final, peak_e = _integrate(pulses, n_sectors, steps, weights)
+        final, peak_e = _crossing(pulses, n_sectors, steps, weights)
         assert np.max(np.abs(final - ref[-1])) <= 1e-12
         assert abs(peak_e - np.max(ref[:, :, 1] ** 2 @ weights)) <= 1e-12
-        # dark-state overlap of sector n after each step, at the pulses of the step's end
-        h = pulses.t_cross / steps
-        g, om = pulses.values(np.arange(steps) * h + h)
-        big_g = g * roots[n]
-        dark = np.stack((big_g, 0.0 * big_g, om), axis=1) / np.sqrt(big_g**2 + om**2)[:, None]
-        y = ref[:, n]
-        worst = min(1.0, np.min(np.sum(dark * y, axis=1) ** 2 / np.sum(y * y, axis=1)))
-        assert abs(minimum_dark_overlap(pulses, n, steps) - worst) <= 1e-12
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -292,12 +340,11 @@ class TestBlockedStepper:
     )
     def test_final_state_path_matches_per_step_loop(self, area, n_sectors, steps):
         pulses = standard_pulses(area, area, 1.0)
-        sectors = np.arange(1.0, n_sectors + 1)
-        *_, (t_end, final) = _crossing_states(pulses, sectors, steps, every=False)
-        ref = reference_states(pulses, np.sqrt(sectors), steps)
-        assert final.shape == (3, n_sectors, 1)
-        assert t_end[-1] == pytest.approx(1.0)
-        assert np.max(np.abs(final[:, :, 0].T - ref[-1])) <= 1e-12
+        final, peak_e = _crossing(pulses, n_sectors, steps)
+        ref = reference_states(pulses, np.sqrt(np.arange(1.0, n_sectors + 1)), steps)
+        assert final.shape == (n_sectors, 3)
+        assert peak_e is None
+        assert np.max(np.abs(final - ref[-1])) <= 1e-12
 
     @pytest.mark.parametrize("n_sectors", [32, 128])
     def test_chunks_stay_within_the_byte_budget(self, n_sectors, monkeypatch):
@@ -314,16 +361,54 @@ class TestBlockedStepper:
 
         monkeypatch.setattr(adiabatic, "_step_polynomials", spy)
         pulses = standard_pulses(AREA, AREA, 1.0)
-        _integrate(pulses, n_sectors, STEPS, np.zeros(n_sectors))
+        _crossing(pulses, n_sectors, STEPS, np.zeros(n_sectors))
         assert len(held) > 1
         assert max(held) <= _CHUNK_BYTES
 
-    def test_step_count_validation(self):
+
+    @pytest.mark.parametrize(
+        "area, n_sectors, steps",
+        [(100.0, 1, STEPS), (100.0, 32, STEPS), (300.0, 128, 2 * STEPS), (20.0, 7, 777)],
+    )
+    def test_the_coarse_run_ends_where_the_weighted_run_ends(self, area, n_sectors, steps):
+        # without weights only each chunk's last state is built, by another product order
+        pulses = standard_pulses(area, area, 1.0)
+        coarse, no_peak = _crossing(pulses, n_sectors, steps)
+        weighted, peak_e = _crossing(pulses, n_sectors, steps, np.full(n_sectors, 1.0 / n_sectors))
+        assert no_peak is None
+        assert 0.0 < peak_e < 1.0
+        assert np.max(np.abs(coarse - weighted)) <= 1e-13
+
+    @pytest.mark.parametrize("budget", [2**10, 2**14, 2**17])
+    def test_the_chunk_size_does_not_move_the_result(self, budget, monkeypatch):
+        import cavityfeedback.adiabatic as adiabatic
+
+        pulses, weights = standard_pulses(AREA, AREA, 1.0), np.full(16, 1.0 / 16)
+        final, peak_e = _crossing(pulses, 16, 1200, weights)
+        block = _block(16)
+        monkeypatch.setattr(adiabatic, "_CHUNK_BYTES", budget)
+        assert _block(16) < block
+        small_final, small_peak = _crossing(pulses, 16, 1200, weights)
+        small_coarse, _ = _crossing(pulses, 16, 1200)
+        assert np.max(np.abs(small_final - final)) <= 1e-13
+        assert np.max(np.abs(small_coarse - final)) <= 1e-13
+        assert abs(small_peak - peak_e) <= 1e-15
+
+    @pytest.mark.parametrize("t_cross", [0.5, 2.0, 4.0])
+    def test_only_the_pulse_areas_matter(self, t_cross):
+        # g_max t_cross and omega_max t_cross fix the crossing in units of t / t_cross
+        weights = np.full(16, 1.0 / 16)
+        final, peak_e = _crossing(standard_pulses(AREA, AREA, 1.0), 16, 1200, weights)
+        scaled = standard_pulses(AREA / t_cross, AREA / t_cross, t_cross)
+        scaled_final, scaled_peak = _crossing(scaled, 16, 1200, weights)
+        assert np.max(np.abs(scaled_final - final)) <= 1e-12
+        assert abs(scaled_peak - peak_e) <= 1e-12
+
+    def test_step_count_validation(self, dim31):
         pulses = standard_pulses(AREA, AREA, 1.0)
-        with pytest.raises(ValueError):
-            minimum_dark_overlap(pulses, 0, 0)
-        with pytest.raises(ValueError):
-            minimum_dark_overlap(pulses, -1, 10)
+        for steps in (0, 1, -10):
+            with pytest.raises(ValueError, match=rf"^steps: must be an integer >= 2, got {steps}$"):
+                integrate_crossing(vacuum(dim31), pulses, steps)
 
 
 class TestAdiabaticityReport:

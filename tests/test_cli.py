@@ -164,6 +164,14 @@ class TestWigner:
         out = tmp_path / "wig.csv"
         assert run_cli(["wigner", "--config", tmp_path / "cfg.json", "--out", out]) == 4
 
+    def test_vacuum_state(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"state": {"kind": "vacuum"}}))
+        out = tmp_path / "wig.csv"
+        assert run_cli(["wigner", "--config", tmp_path / "cfg.json", "--out", out]) == 0
+        side = read_sidecar(out)
+        assert side["all_invariants_passed"]
+        assert side["extras"]["origin_value"] == pytest.approx(2.0 / np.pi, abs=1e-12)
+
 
 class TestStroboPe:
     def test_default_family(self, tmp_path):
@@ -227,6 +235,13 @@ class TestQubitProtect:
             gt, f = float(row[0]), float(row[1])
             assert abs(f - (1.0 - gt)) < gt**2 + 1e-12
 
+    def test_equal_photon_numbers_exit_2(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"n": 3, "m": 3}))
+        args = ["qubit-protect", "--config", tmp_path / "cfg.json", "--out", tmp_path / "qb.csv"]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err == "config error: n: n and m must differ\n"
+        assert not (tmp_path / "qb.csv").exists()
+
 
 class TestAdiabatic:
     def test_default_sweep(self, tmp_path):
@@ -241,6 +256,30 @@ class TestAdiabatic:
         assert all(x <= y for x, y in zip(adiabatic, adiabatic[1:]))
         extras = read_sidecar(out)["extras"]
         assert all(c["status"] == "pass" for c in extras["timescale_report"])
+
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"kind": "vacuum"},
+            {"kind": "coherent", "alpha2": 3.3},
+            {"kind": "cat-even", "alpha2": 2.0},
+            {"kind": "cat-odd", "alpha2": 2.0},
+            {"kind": "fock", "terms": [[0, 0.6, 0.0], [2, 0.0, 0.48], [5, -0.64, 0.0]]},
+        ],
+        ids=["vacuum", "coherent", "cat-even", "cat-odd", "fock-complex"],
+    )
+    def test_each_state_kind_runs_the_library_crossing(self, state, tmp_path):
+        cfg = {"areas": [100.0], "state": state}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "ad.csv"
+        assert run_cli(["adiabatic", "--config", tmp_path / "cfg.json", "--steps", 3000, "--out", out]) == 0
+        _, rows = read_csv(out)
+        rho = cli._build_state(state, cavityfeedback.FockDim(31), "state.")
+        _, fid, peak = cavityfeedback.integrate_crossing(rho, cavityfeedback.standard_pulses(100.0, 100.0, 1.0), 3000)
+        assert rows == [[f"{x:.12g}" for x in (100.0, fid, peak)]]
+        assert fid >= 0.999
+        assert read_sidecar(out)["all_invariants_passed"]
 
 
 class TestDeterminismAndEcho:
@@ -292,6 +331,25 @@ class TestDeterminismAndEcho:
         args = ["fidelity-cat", "--config", tmp_path / "fock.json", "--out", tmp_path / "cat.csv"]
         assert run_cli(args) == 2
         assert capsys.readouterr().err.startswith("config error: config: ")
+        assert not (tmp_path / "cat.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read "),
+            ("{", "invalid JSON in "),
+            ("[1, 2]", "top level must be an object"),
+            ('{"command": "fidelity-cat", "config": [1, 2]}', "sidecar 'config' must be an object"),
+        ],
+        ids=["missing", "invalid-json", "not-an-object", "sidecar-config-not-an-object"],
+    )
+    def test_a_faulty_config_file_exits_2(self, text, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        assert run_cli(["fidelity-cat", "--config", path, "--out", tmp_path / "cat.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config: {message}")
         assert not (tmp_path / "cat.csv").exists()
 
 
@@ -402,6 +460,18 @@ class TestFailureClasses:
         assert err.startswith("numerical failure: trace deviates from 1 by 8.605e-09")
         assert "steps = 300" in err and "raise steps" in err
         assert not (tmp_path / "a.csv").exists()
+
+    def test_a_failed_sidecar_check_exits_3_and_still_writes_both_files(self, tmp_path, monkeypatch, capsys):
+        real = cli.cat_fidelity_analytic
+        monkeypatch.setattr(cli, "cat_fidelity_analytic", lambda *a: real(*a) + 1e-3)
+        out = tmp_path / "cat.csv"
+        assert run_cli(["fidelity-cat", "--steps", 4, "--out", out]) == 3
+        assert capsys.readouterr().err == "invariant check failed: no_feedback_column_vs_closed_form\n"
+        assert out.exists()
+        side = read_sidecar(out)
+        assert side["all_invariants_passed"] is False
+        failed = [c["name"] for c in side["invariant_checks"] if not c["passed"]]
+        assert failed == ["no_feedback_column_vs_closed_form"]
 
     def test_detection_probabilities_that_miss_one_exit_3(self, tmp_path, monkeypatch, capsys):
         real = strobo.evolve_strobo

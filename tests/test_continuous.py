@@ -33,7 +33,7 @@ from cavityfeedback import (
 )
 from cavityfeedback.continuous import _band_propagator, _propagate, _uniform_steps
 from cavityfeedback.fock import _band_period, check_density
-from conftest import random_density
+from conftest import mean_amplitude, random_density
 
 
 def grid_stack(rho0, eta, times):
@@ -311,6 +311,22 @@ def test_a_rate_times_time_that_overflows_is_a_value_error(call, product, monkey
         call()
 
 
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([], "times must be a non-empty 1-d array"),
+        (0.0, "times must be a non-empty 1-d array"),
+        ([[0.0, 0.1]], "times must be a non-empty 1-d array"),
+        ([0.1, 0.2], "time grid must start at 0"),
+        ([0.0, 0.1, 0.3], "time grid must be uniform and increasing"),
+        ([0.0, -0.1], "time grid must be uniform and increasing"),
+    ],
+)
+def test_a_time_grid_that_is_not_uniform_from_zero_is_a_value_error(times, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fidelity_curve(_RHO, _PARAMS, times)
+
+
 class TestCatFidelityAnalytic:
     def test_unity_at_zero(self):
         assert cat_fidelity_analytic(5.0, CatParity.ODD, 1.0, 0.0) == pytest.approx(1.0)
@@ -393,8 +409,6 @@ class TestMeanAmplitudeIdeal:
             assert abs(exact - semi) / abs(semi) < 0.05
 
     def test_matches_full_evolution(self, dim63):
-        from cavityfeedback import mean_amplitude
-
         rho = DensityMatrix.from_state(coherent_state(np.sqrt(3.3), dim63))
         evolved = evolve_continuous(rho, ContinuousParams(1.0, 1.0), 0.6)
         assert abs(mean_amplitude(evolved) - mean_amplitude_ideal(rho, 1.0, 0.6)) < 1e-10

@@ -15,11 +15,11 @@ from cavityfeedback import (
     coherent_state,
     fidelity,
     fock_superposition,
-    mean_amplitude,
     parity_expectation,
+    trace_distance,
 )
 from cavityfeedback.fock import _EIG_FLOOR, _band_period, check_density
-from conftest import random_density
+from conftest import mean_amplitude, random_density
 
 _BAD_MATRICES = {
     "hermiticity": np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex),
@@ -172,6 +172,8 @@ class TestFidelity:
         b = DensityMatrix.from_state(fock_superposition([(0, 1.0)], FockDim(4)))
         with pytest.raises(ValueError, match="dims differ"):
             fidelity(a, b)
+        with pytest.raises(ValueError, match="dims differ"):
+            trace_distance(a, b)
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_real_within_tolerance(self, seed):
@@ -216,6 +218,26 @@ class TestInvariantEnforcement:
         mat = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError):
             DensityMatrix(mat, FockDim(1))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: StateVector(np.ones(3) / np.sqrt(3.0), FockDim(1)), r"expected 2 amplitudes, got shape \(3,\)"),
+            (lambda: DensityMatrix(np.eye(3) / 3.0, FockDim(1)), r"expected 2x2 matrix, got shape \(3, 3\)"),
+            (
+                lambda: DensityMatrix.from_map(np.eye(2) / 2.0, FockDim(1)),
+                r"expected a stack of 2x2 matrices, got shape \(2, 2\)",
+            ),
+            (
+                lambda: DensityMatrix.from_map(np.eye(3)[None] / 3.0, FockDim(1)),
+                r"expected a stack of 2x2 matrices, got shape \(1, 3, 3\)",
+            ),
+        ],
+        ids=["StateVector", "DensityMatrix", "from_map-2d", "from_map-dim"],
+    )
+    def test_a_wrongly_shaped_input_is_a_value_error(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     @pytest.mark.parametrize("broken", sorted(_BAD_MATRICES))
     def test_map_output_failures_are_numerical(self, broken):

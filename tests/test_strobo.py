@@ -24,7 +24,6 @@ from cavityfeedback import (
     min_fidelity,
     p_ee_analytic,
     parity_expectation,
-    resonance_angle,
     run_sequence,
     trace_distance,
 )
@@ -493,23 +492,6 @@ class TestRunSequence:
             run_sequence(odd_cat(3.3, dim31), StroboParams(1.0, 0.0, 0.1), steps=0)
 
 
-class TestResonanceAngle:
-    def test_single_photon(self):
-        assert resonance_angle(1.0, 0) == pytest.approx(np.pi / 2)
-
-    def test_four_photons(self):
-        assert resonance_angle(4.0, 0) == pytest.approx(np.pi / 4)
-
-    def test_experiment_scale(self):
-        assert resonance_angle(3.3, 0) == pytest.approx(0.8646, abs=1e-4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            resonance_angle(0.0, 0)
-        with pytest.raises(ValueError):
-            resonance_angle(1.0, -1)
-
-
 _NAN = float("nan")
 _PULSES = PulsePair(10.0, 10.0, 1.0, 0.25, 0.2)
 
@@ -523,10 +505,9 @@ _PULSES = PulsePair(10.0, 10.0, 1.0, 0.25, 0.2)
             lambda field=field: replace(_PULSES, **{field: _NAN})
             for field in ("g_max", "omega_max", "t_cross", "delay", "width")
         ),
-        lambda: resonance_angle(_NAN, 0),
         lambda: min_fidelity(QubitSpec(0, 1), 0.5, _NAN),
     ],
-    ids=["mu", "gamma_T", "g_max", "omega_max", "t_cross", "delay", "width", "n_bar", "gamma_t"],
+    ids=["mu", "gamma_T", "g_max", "omega_max", "t_cross", "delay", "width", "gamma_t"],
 )
 def test_nan_parameter_raises(build):
     with pytest.raises(ValueError):

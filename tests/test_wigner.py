@@ -208,6 +208,16 @@ class TestGridArguments:
         with pytest.raises(ValueError, match=message):
             call()
 
+    def test_a_negative_radius_is_rejected(self):
+        with pytest.raises(ValueError, match="^radii must be >= 0$"):
+            wigner.PolarGrid([-0.5, 0.0, 1.0], [0.0, np.pi])
+
+    def test_a_grid_of_another_type_is_rejected(self):
+        rho = DensityMatrix.from_state(fock_superposition([(0, 1.0)], FockDim(7)))
+        axis = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="^unsupported grid type tuple$"):
+            wigner_function(rho, (axis, axis))
+
 
 def test_a_density_matrix_transform_diagonalises_nothing(monkeypatch):
     # the quadrature tolerance of a density matrix is 1e-2 times its trace, 1
@@ -440,6 +450,12 @@ class TestFringeVisibility:
         rho = DensityMatrix.from_state(coherent_state(1.0, dim63))
         wg = wigner_function(rho, default_polar_grid(4.0))
         with pytest.raises(ValueError):
+            fringe_visibility(wg)
+
+    def test_requires_the_x_zero_line(self):
+        rho = DensityMatrix.from_state(fock_superposition([(0, 1.0)], FockDim(7)))
+        wg = wigner_function(rho, default_cartesian_grid(4.5, 120))  # an even count skips x = 0
+        with pytest.raises(ValueError, match="^grid does not contain the x = 0 line$"):
             fringe_visibility(wg)
 
     def test_feedback_preserves_fringes(self, dim63):
