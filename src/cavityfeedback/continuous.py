@@ -16,7 +16,9 @@ in the input and skips zero bands.  Here the step matrix is an exact matrix
 exponential (scipy's scaling-and-squaring `expm`, Al-Mohy & Higham 2009), so
 no time stepper and no integrator tolerance enters any result.
 Every state a map returns is checked for Hermiticity, trace and positivity at
-every time point, in one pass over the stack of states; `fidelity_curve`
+every time point, in one pass over the stack of states; positivity is
+certified by a Cholesky factorisation, and the spectrum is taken only to report
+a violation with its exact eigenvalue (`fock.check_density`).  `fidelity_curve`
 reads the overlap with the initial state off that stack without building a
 state object per time point.  The band loop runs on one BLAS thread: its
 matrices are at most (n_max + 1) x (n_max + 1) and its products depend on one
@@ -172,7 +174,9 @@ def fidelity_curve(rho0: DensityMatrix, params: ContinuousParams, times) -> Fide
     It is summed as `fidelity` sums it, so the values equal those of `fidelity`
     on the state at each time point, but no state object is built per time
     point.  Every rho(t) is still checked for Hermiticity, trace and
-    positivity, and a violation raises NumericalInvariantError.
+    positivity, and a violation raises NumericalInvariantError.  Positivity is
+    certified, not diagonalised, so `margins.min_eigenvalue` is None unless
+    the certificate failed and the spectrum was taken (`fock.check_density`).
     """
     dt, steps = _uniform_steps(times)
     _check_rate_and_time(params.gamma, dt, "dt")

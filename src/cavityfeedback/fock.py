@@ -8,6 +8,9 @@ validator, `check_density`, which checks a whole stack of matrices in one pass.
 `DensityMatrix` runs it on its input, where a violation is a ValueError.  Every
 map hands its output to one checked constructor, `DensityMatrix.from_map`,
 where a violation is a fault of the map and a NumericalInvariantError.
+Positivity is certified by a Cholesky factorisation; the spectrum is taken
+only when the certificate fails, so that a violation is still reported with
+its exact smallest eigenvalue.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _EIG_FLOOR = -1e-10
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _TAIL_TOL = 1e-10
 # the memory of one chunk: strobo states and padded band entries, crossing step matrices
 _CHUNK_BYTES = 2**20
@@ -84,7 +88,9 @@ class DensityMargins(NamedTuple):
 
     hermiticity: float  # largest |rho - rho^dagger| element
     trace_drift: float  # largest |Tr rho - 1|
-    min_eigenvalue: float  # smallest eigenvalue of the Hermitian part
+    # smallest eigenvalue of the Hermitian part where the spectrum was taken;
+    # None where the Cholesky certificate proved it >= -1e-10 without taking it
+    min_eigenvalue: float | None
 
 
 def _band_period(stack: np.ndarray) -> int:
@@ -109,26 +115,57 @@ def _linear_margins(stack: np.ndarray) -> tuple:
     return float(herm), float(drift)
 
 
-def _min_eigenvalue(stack: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian parts of a (T, n, n) stack.
+def _hermitian_blocks(stack: np.ndarray):
+    """Hermitian parts of the residue blocks of a (T, n, n) stack, one (T, m, m) block at a time.
 
-    For a stack of several matrices the spectrum is taken block by block over
-    the residue classes of the band period (every cat state has period 2),
-    which leaves it unchanged and cuts the diagonalisation cost by about the
-    period squared.  A lone matrix is diagonalised whole: for it the scan and
-    the extra LAPACK calls cost more than they save (with them, a strobo-pe
+    For a stack of several matrices the blocks are the residue classes of the
+    band period (every cat state has period 2): they hold the same spectrum as
+    the whole matrices, and a factorisation or diagonalisation of them costs
+    about the period squared less.  A lone matrix is one block: for it the scan
+    and the extra LAPACK calls cost more than they save (with them, a strobo-pe
     run at 32 levels took 10 % longer on a 2-vCPU Xeon).  A stack whose
-    imaginary part is exactly zero, as for any state with real weights, goes to
-    the real symmetric solver, which makes no threaded LAPACK call.
+    imaginary part is exactly zero, as for any state with real weights, gives
+    real blocks, which go to LAPACK's real routines.
     """
     stack = stack if stack.imag.any() else stack.real
     g = _band_period(stack) if len(stack) > 1 else 1
-    blocks = (stack[:, r::g, r::g] for r in range(g))
-    lo = reduce(
-        np.minimum,
-        (np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2.0).min() for b in blocks),
-    )
-    return float(lo)
+    for r in range(g):
+        b = stack[:, r::g, r::g]
+        h = b + b.conj().swapaxes(1, 2)
+        h *= 0.5  # in place: a second temporary of the block's size took longer than the sum
+        yield h
+
+
+def _min_eigenvalue(stack: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian parts of a (T, n, n) stack."""
+    return float(reduce(np.minimum, (np.linalg.eigvalsh(h).min() for h in _hermitian_blocks(stack))))
+
+
+def _certified(stack: np.ndarray) -> bool:
+    """Whether a Cholesky factorisation proves every Hermitian-part eigenvalue of the stack >= -1e-10.
+
+    Each block H is shifted to H' = H + (1e-10 - delta) I and factorised.  A
+    factorisation R that completes satisfies R*R = H' + E with
+    |E| <= gamma_{m+1} |R*| |R| for blocks of m levels (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Theorem 10.3), so
+    ||E||_2 <= gamma_{m+1} tr(R*R) <= gamma_{m+1} sum|h'_ii| / (1 - gamma_{m+1}),
+    and every eigenvalue of H' is at least -||E||_2.  delta = 2 (m + 2) u
+    max(1, sum|h_ii|), about 3e-14 for a density matrix of 128 levels, bounds
+    ||E||_2 with room for complex arithmetic and the rounding of the shift, so
+    a pass proves the floor outright, not only up to round-off.  A failure
+    proves nothing: the caller then takes the spectrum.
+    """
+    for h in _hermitian_blocks(stack):
+        m = h.shape[-1]
+        weight = float(abs(h.diagonal(axis1=1, axis2=2)).sum(axis=1).max())
+        delta = 2 * (m + 2) * _UNIT_ROUNDOFF * max(1.0, weight)
+        i = np.arange(m)
+        h[:, i, i] += -_EIG_FLOOR - delta
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
 def check_density(stack, error=ValueError) -> DensityMargins:
@@ -136,10 +173,16 @@ def check_density(stack, error=ValueError) -> DensityMargins:
 
     Tolerances: Hermiticity 1e-12, trace 1e-10, smallest eigenvalue >= -1e-10.
     Input validation keeps ValueError; a map checking its own output passes
-    NumericalInvariantError.  Hermiticity and trace are checked before the
-    spectrum is computed, so a NaN or inf element raises `error` as a
-    Hermiticity failure and never reaches the eigensolver.  A stack with no
-    imaginary part is diagonalised in real arithmetic.
+    NumericalInvariantError.  Hermiticity and trace are checked before
+    positivity, so a NaN or inf element raises `error` as a Hermiticity failure
+    and never reaches LAPACK.  A stack with no imaginary part is factorised and
+    diagonalised in real arithmetic.
+
+    Positivity is certified by one batched Cholesky factorisation per block
+    (`_certified`), and the margin then reports no smallest eigenvalue (None):
+    none was computed.  Only where the certificate fails is the spectrum taken,
+    so a violation raises with its exact smallest eigenvalue, and a stack
+    within round-off of the floor that still passes reports that eigenvalue.
     """
     stack = np.asarray(stack)
     herm, drift = _linear_margins(stack)
@@ -148,6 +191,8 @@ def check_density(stack, error=ValueError) -> DensityMargins:
         raise error(f"matrix is not Hermitian: max deviation {herm:.3e}")
     if not drift <= _TRACE_TOL:
         raise error(f"trace deviates from 1 by {drift:.3e}, beyond {_TRACE_TOL}")
+    if _certified(stack):
+        return DensityMargins(herm, drift, None)
     lo = _min_eigenvalue(stack)
     if not lo >= _EIG_FLOOR:
         raise error(f"smallest eigenvalue {lo:.3e} below positivity floor {_EIG_FLOOR}")

@@ -142,7 +142,9 @@ def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> Stro
     states and at least 16 periods.  Every state of a chunk is checked for
     Hermiticity, trace and positivity (NumericalInvariantError), and when the
     feedback atom acts (eta > 0) on an even top level, population above 1e-10
-    there raises TruncationError.  Only the populations of each chunk are kept.
+    there raises TruncationError.  Positivity is certified by a Cholesky
+    factorisation; the spectrum is taken only to report a violation with its
+    exact eigenvalue.  Only the populations of each chunk are kept.
     """
     check_number("steps", steps, 0, integer=True)
     dim = rho0.dim

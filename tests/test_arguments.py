@@ -221,30 +221,85 @@ def test_a_bad_number_is_a_value_error(name, replaced):
 
 
 # calls that at one time slipped through as another class or a wrong result; the
-# overflowing gamma * t, the Fock index and the grid axes have their own module's tests
+# overflowing gamma * t, the Fock index and the grid axes have their own module's tests.
+# Each row has its own id, so that adding or removing a row renames no other row's test.
 REPRODUCED = [
-    (lambda: evolve_strobo(RHO, StroboParams(0.8, 0.5, 0.1), 2.5), "steps: expected an integer, got 2.5"),
-    (lambda: run_sequence(RHO, StroboParams(0.8, 0.5, 0.1), 2.5), "steps: expected an integer, got 2.5"),
-    (lambda: integrate_crossing(RHO, PULSES, 100.5), "steps: expected an integer, got 100.5"),
-    (lambda: default_polar_grid(4.0, 2.5), "n_r: expected an integer, got 2.5"),
-    (lambda: QubitSpec(1.5, 2), "n: expected an integer, got 1.5"),
-    (lambda: FockDim(True), "n_max: expected an integer, got True"),
-    (lambda: coherent_state(True, FockDim(15)), "alpha: expected a number, got True"),
-    (lambda: coherent_state("1", FockDim(15)), "alpha: expected a number, got '1'"),
-    (lambda: cat_state(None, CatParity.ODD, FockDim(15)), "alpha: expected a number, got None"),
-    (lambda: fock_superposition([(1, "1")], FockDim(4)), "coeff: expected a number, got '1'"),
-    (lambda: fock_fidelity_analytic(0.5, 0.5, 1.5, 3, ContinuousParams(1.0, 0.5), 0.3), "n: expected an integer"),
-    (lambda: PulsePair(math.inf, 2.0, 1.0, 0.25, 0.2), "g_max: must be a finite number > 0, got inf"),
-    (lambda: adiabaticity_report(PULSES, math.inf, 0.005, 0.05), "n_bar: must be a finite number > 0, got inf"),
-    (lambda: min_fidelity(QubitSpec(1, 2), 0.5, math.inf), "gamma_t: must be a finite number >= 0, got inf"),
-    (lambda: p_ee_analytic(2.0, math.inf), "gamma_T_total: must be a finite number >= 0, got inf"),
-    (
+    pytest.param(
+        lambda: evolve_strobo(RHO, StroboParams(0.8, 0.5, 0.1), 2.5),
+        "steps: expected an integer, got 2.5",
+        id="evolve_strobo-steps",
+    ),
+    pytest.param(
+        lambda: run_sequence(RHO, StroboParams(0.8, 0.5, 0.1), 2.5),
+        "steps: expected an integer, got 2.5",
+        id="run_sequence-steps",
+    ),
+    pytest.param(
+        lambda: integrate_crossing(RHO, PULSES, 100.5),
+        "steps: expected an integer, got 100.5",
+        id="integrate_crossing-steps",
+    ),
+    pytest.param(
+        lambda: default_polar_grid(4.0, 2.5),
+        "n_r: expected an integer, got 2.5",
+        id="default_polar_grid-n_r",
+    ),
+    pytest.param(lambda: QubitSpec(1.5, 2), "n: expected an integer, got 1.5", id="QubitSpec-n"),
+    pytest.param(lambda: FockDim(True), "n_max: expected an integer, got True", id="FockDim-n_max-bool"),
+    pytest.param(
+        lambda: coherent_state(True, FockDim(15)),
+        "alpha: expected a number, got True",
+        id="coherent_state-alpha-bool",
+    ),
+    pytest.param(
+        lambda: coherent_state("1", FockDim(15)),
+        "alpha: expected a number, got '1'",
+        id="coherent_state-alpha-str",
+    ),
+    pytest.param(
+        lambda: cat_state(None, CatParity.ODD, FockDim(15)),
+        "alpha: expected a number, got None",
+        id="cat_state-alpha-None",
+    ),
+    pytest.param(
+        lambda: fock_superposition([(1, "1")], FockDim(4)),
+        "coeff: expected a number, got '1'",
+        id="fock_superposition-coeff-str",
+    ),
+    pytest.param(
+        lambda: fock_fidelity_analytic(0.5, 0.5, 1.5, 3, ContinuousParams(1.0, 0.5), 0.3),
+        "n: expected an integer",
+        id="fock_fidelity_analytic-n-float",
+    ),
+    pytest.param(
+        lambda: PulsePair(math.inf, 2.0, 1.0, 0.25, 0.2),
+        "g_max: must be a finite number > 0, got inf",
+        id="PulsePair-g_max-inf",
+    ),
+    pytest.param(
+        lambda: adiabaticity_report(PULSES, math.inf, 0.005, 0.05),
+        "n_bar: must be a finite number > 0, got inf",
+        id="adiabaticity_report-n_bar-inf",
+    ),
+    pytest.param(
+        lambda: min_fidelity(QubitSpec(1, 2), 0.5, math.inf),
+        "gamma_t: must be a finite number >= 0, got inf",
+        id="min_fidelity-gamma_t-inf",
+    ),
+    pytest.param(
+        lambda: p_ee_analytic(2.0, math.inf),
+        "gamma_T_total: must be a finite number >= 0, got inf",
+        id="p_ee_analytic-gamma_T_total-inf",
+    ),
+    pytest.param(
         lambda: fock_fidelity_analytic(0.5, 0.5, 1, 3, ContinuousParams(1.0, 0.5), math.inf),
         "t: must be a finite number >= 0, got inf",
+        id="fock_fidelity_analytic-t-inf",
     ),
-    (
+    pytest.param(
         lambda: fock_fidelity_analytic(math.nan, 0.5, 1, 3, ContinuousParams(1.0, 0.5), 0.3),
         "abs_alpha2: must be a finite number in \\[0, 1\\], got nan",
+        id="fock_fidelity_analytic-abs_alpha2-nan",
     ),
 ]
 

@@ -32,7 +32,7 @@ from cavityfeedback import (
     standard_phase_diffusion,
 )
 from cavityfeedback.continuous import _band_propagator, _propagate, _uniform_steps
-from cavityfeedback.fock import _band_period, check_density
+from cavityfeedback.fock import _band_period, _min_eigenvalue
 from conftest import mean_amplitude, random_density
 
 
@@ -505,7 +505,7 @@ class TestFidelityCurveProperties:
         assert np.max(np.abs(curve.fidelity - dense)) <= 1e-12
         assert curve.margins.trace_drift <= 1e-10
         assert curve.margins.hermiticity <= 1e-12
-        assert curve.margins.min_eigenvalue >= -1e-10
+        assert curve.margins.min_eigenvalue is None  # certified: no eigenvalue below -1e-10
 
     @_PROPERTY
     @given(
@@ -526,4 +526,4 @@ class TestFidelityCurveProperties:
         stack = grid_stack(rho0, eta, times)
         assert _band_period(stack) == g
         full = min(float(np.min(np.linalg.eigvalsh(m))) for m in stack)
-        assert abs(check_density(stack).min_eigenvalue - full) <= 1e-14
+        assert abs(_min_eigenvalue(stack) - full) <= 1e-14

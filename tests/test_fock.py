@@ -6,19 +6,23 @@ from hypothesis.extra import numpy as hnp
 
 from cavityfeedback import (
     CatParity,
+    ContinuousParams,
     DensityMatrix,
     FockDim,
     NumericalInvariantError,
     StateVector,
+    StroboParams,
     TruncationError,
     cat_state,
     coherent_state,
+    evolve_strobo,
     fidelity,
+    fidelity_curve,
     fock_superposition,
     parity_expectation,
     trace_distance,
 )
-from cavityfeedback.fock import _EIG_FLOOR, _band_period, check_density
+from cavityfeedback.fock import _EIG_FLOOR, _band_period, _min_eigenvalue, check_density
 from conftest import mean_amplitude, random_density
 
 _BAD_MATRICES = {
@@ -308,7 +312,7 @@ class TestDensityMargins:
         assert _band_period(stack) == 2
         margins = check_density(stack)
         full = min(np.min(np.linalg.eigvalsh(m)) for m in stack)
-        assert abs(margins.min_eigenvalue - full) <= 1e-15
+        assert abs(_min_eigenvalue(stack) - full) <= 1e-15
         assert margins.hermiticity == 0.0
         assert margins.trace_drift <= 1e-15
 
@@ -340,7 +344,7 @@ def density_stacks(draw):
 
 
 class TestRealPath:
-    """A stack with no imaginary part is diagonalised in real arithmetic, and only then."""
+    """A stack with no imaginary part is factorised and diagonalised in real arithmetic, and only then."""
 
     def test_a_positive_real_part_does_not_hide_a_negative_eigenvalue(self):
         # the real part is 0.5 times the identity; the eigenvalues are 0.5 +- 0.6
@@ -360,24 +364,85 @@ class TestRealPath:
     )
     def test_the_solver_sees_real_matrices_only_for_real_states(self, state, dtype, dim63, monkeypatch):
         seen = []
-        real_eigvalsh = np.linalg.eigvalsh
 
-        def eigvalsh(a):
-            seen.append(a.dtype)
-            return real_eigvalsh(a)
+        def spy(name):
+            solver = getattr(np.linalg, name)
+            return lambda a: seen.append((name, a.dtype)) or solver(a)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        DensityMatrix.from_state(state(dim63))
-        assert seen == [dtype]
+        for name in ("cholesky", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        rho = DensityMatrix.from_state(state(dim63))
+        assert seen == [("cholesky", dtype)]
+        # pull every eigenvalue but the state's own down to -1e-9, trace kept
+        eps = 1e-9
+        broken = (1.0 + 64 * eps) * rho.elements - eps * np.eye(64)
+        seen.clear()
+        with pytest.raises(NumericalInvariantError, match="smallest eigenvalue -1.000e-09"):
+            DensityMatrix.from_map(broken[None], dim63)
+        assert seen == [("cholesky", dtype), ("eigvalsh", dtype)]
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(stack=density_stacks())
     def test_the_verdict_is_the_complex_solvers(self, stack):
+        # a pass is certified without the spectrum; a failure carries the
+        # exact smallest eigenvalue
         lo = complex_min_eigenvalue(stack)
         assume(abs(lo - _EIG_FLOOR) > 1e-13)  # a verdict the last digits cannot flip
         try:
             margins = check_density(stack)
         except ValueError as exc:
-            assert lo < _EIG_FLOOR and "smallest eigenvalue" in str(exc)
+            assert lo < _EIG_FLOOR
+            assert str(exc) == f"smallest eigenvalue {_min_eigenvalue(stack):.3e} below positivity floor {_EIG_FLOOR}"
         else:
-            assert lo >= _EIG_FLOOR and abs(margins.min_eigenvalue - lo) <= 1e-14
+            assert lo >= _EIG_FLOOR and margins.min_eigenvalue is None
+        assert abs(_min_eigenvalue(stack) - lo) <= 1e-14
+
+
+def rotated(spectrum, seed, complex_weights=True) -> np.ndarray:
+    """Hermitian matrix U diag(spectrum) U^dagger, for a random unitary U."""
+    rng = np.random.default_rng(seed)
+    n = len(spectrum)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_weights else 0.0))
+    mat = (u * spectrum) @ u.conj().T
+    return (mat + mat.conj().T) / 2.0
+
+
+class TestCertificate:
+    """Positivity is certified by Cholesky; the spectrum is taken only when that fails."""
+
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+    @pytest.mark.parametrize("complex_weights", [False, True])
+    @pytest.mark.parametrize("size", [8, 64])
+    def test_a_state_next_to_the_floor_gets_the_exact_verdict(self, size, complex_weights, offset):
+        # the stacks drawn above never come near the floor: put the smallest
+        # eigenvalue 1e-12 either side of it
+        spectrum = np.full(size, (1.0 - _EIG_FLOOR - offset) / (size - 1))
+        spectrum[0] = _EIG_FLOOR + offset
+        stack = np.array([rotated(spectrum, size, complex_weights)], dtype=complex)
+        if offset < 0:
+            exact = _min_eigenvalue(stack)
+            with pytest.raises(ValueError) as info:
+                check_density(stack)
+            assert str(info.value) == f"smallest eigenvalue {exact:.3e} below positivity floor {_EIG_FLOOR}"
+        else:
+            assert check_density(stack).min_eigenvalue is None
+
+    def test_passing_states_take_no_spectrum(self, dim31, dim63, monkeypatch):
+        calls = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def eigvalsh(a):
+            calls.append(a.shape)
+            return real_eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        rho63 = DensityMatrix.from_state(coherent_state(np.sqrt(5.0) * np.exp(0.3j), dim63))
+        rho31 = DensityMatrix.from_state(cat_state(np.sqrt(3.3), CatParity.ODD, dim31))
+        fidelity_curve(rho63, ContinuousParams(1.0, 0.5), np.linspace(0.0, 2.0, 81))
+        evolve_strobo(rho31, StroboParams(0.6, 0.9, 0.05), 100)
+        assert calls == []
+
+    def test_a_failed_certificate_raises_the_exact_eigenvalue(self):
+        stack = np.array([np.diag([0.5, 0.3, 0.2]), rotated([0.6 + 1e-9, 0.4, -1e-9], 7)])
+        with pytest.raises(NumericalInvariantError, match="smallest eigenvalue -1.000e-09"):
+            DensityMatrix.from_map(stack, FockDim(2))
