@@ -32,11 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalInvariantError, TruncationError, check_number
-from .fock import _CHUNK_BYTES, _TRACE_TOL, DensityMatrix
+from .errors import NumericalInvariantError, check_number
+from .fock import _CHUNK_BYTES, _TAIL_TOL, _TRACE_TOL, DensityMatrix, check_top_level
 
 _FIDELITY_STEP_TOL = 1e-6
-_TOP_POPULATION_TOL = 1e-10
 _TIMESCALE_FACTOR = 10.0  # a ">>" of the timescale chain means a ratio above this
 
 
@@ -184,12 +183,7 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
     """
     check_number("steps", steps, 2, integer=True)
     rho = np.asarray(field_rho.elements)
-    top = float(np.real(rho[-1, -1]))
-    if top > _TOP_POPULATION_TOL:
-        raise TruncationError(
-            f"population {top:.3e} on the top Fock level cannot be shifted up; "
-            "enlarge the basis"
-        )
+    check_top_level(rho, _TAIL_TOL, "cannot be shifted up")
     n_dim = field_rho.dim.size
     # the coarse run feeds only the halving check, so it keeps only its final state
     coarse, _ = _crossing(pulses, n_dim, steps)

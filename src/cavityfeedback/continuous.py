@@ -15,14 +15,14 @@ of `strobo`: it applies a per-band step matrix to each band that is nonzero
 in the input and skips zero bands.  Here the step matrix is an exact matrix
 exponential (scipy's scaling-and-squaring `expm`, Al-Mohy & Higham 2009), so
 no time stepper and no integrator tolerance enters any result.
-Every state a map returns is checked for Hermiticity, trace and positivity at
-every time point, in one pass over the stack of states; positivity is
-certified by a Cholesky factorisation, and the spectrum is taken only to report
-a violation with its exact eigenvalue (`fock.check_density`).  `fidelity_curve`
-reads the overlap with the initial state off that stack without building a
-state object per time point.  The band loop runs on one BLAS thread: its
-matrices are at most (n_max + 1) x (n_max + 1) and its products depend on one
-another, so on them a second OpenBLAS thread costs more than it computes.
+An input state with population above 1e-8 on the top level is a truncation
+fault (`fock.check_top_level`).  Every state a map returns is checked for
+Hermiticity, trace and positivity at every time point, in one pass over the
+stack of states (`fock.check_density`).  `fidelity_curve` reads the overlap
+with the initial state off that stack without building a state object per
+time point.  The band loop runs on one BLAS thread: its matrices are at most
+(n_max + 1) x (n_max + 1) and its products depend on one another, so on them
+a second OpenBLAS thread costs more than it computes.
 """
 from __future__ import annotations
 
@@ -35,10 +35,11 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from ._blas import threads
-from .errors import NumericalInvariantError, TruncationError, check_number, check_times
-from .fock import CatParity, DensityMargins, DensityMatrix, check_density
+from .errors import NumericalInvariantError, check_number, check_times
+from .fock import CatParity, DensityMargins, DensityMatrix, check_density, check_top_level
 
 _TOP_POPULATION_TOL = 1e-8
+_LEAKAGE = "where leakage above the cutoff is not modelled"
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,6 @@ def _propagate(mat: np.ndarray, step_matrix, steps: int) -> np.ndarray:
     return stack
 
 
-def _check_top_population(rho: DensityMatrix):
-    top = float(np.real(rho.elements[-1, -1]))
-    if top > _TOP_POPULATION_TOL:
-        raise TruncationError(
-            f"population {top:.3e} on the top Fock level; leakage above the cutoff "
-            "is not modelled, enlarge the basis"
-        )
-
-
 def _check_rate_and_time(gamma: float, t, name: str = "t", *, array: bool = False):
     """gamma * t; ValueError unless gamma > 0, each time `name` >= 0 and gamma * t are finite numbers."""
     gamma = check_number("gamma", gamma, 0, lo_open=True)
@@ -154,7 +146,7 @@ def evolve_continuous(rho0: DensityMatrix, params: ContinuousParams, t: float) -
     construction; for eta = 1 the populations are constants of motion.
     """
     _check_rate_and_time(params.gamma, t)  # a negative time is not time-reversed
-    _check_top_population(rho0)
+    check_top_level(rho0.elements, _TOP_POPULATION_TOL, _LEAKAGE)
     out = evolve_operator(rho0.elements, params.eta, params.gamma * t)
     return DensityMatrix.from_map(out[None], rho0.dim)
 
@@ -180,7 +172,7 @@ def fidelity_curve(rho0: DensityMatrix, params: ContinuousParams, times) -> Fide
     """
     dt, steps = _uniform_steps(times)
     _check_rate_and_time(params.gamma, dt, "dt")
-    _check_top_population(rho0)
+    check_top_level(rho0.elements, _TOP_POPULATION_TOL, _LEAKAGE)
     step = partial(_band_propagator, params.eta, params.gamma * dt)
     stack = _propagate(rho0.elements, step, steps)
     margins = check_density(stack, NumericalInvariantError)

@@ -7,10 +7,12 @@ exists is a state that is safe to use.  Density-matrix invariants have one
 validator, `check_density`, which checks a whole stack of matrices in one pass.
 `DensityMatrix` runs it on its input, where a violation is a ValueError.  Every
 map hands its output to one checked constructor, `DensityMatrix.from_map`,
-where a violation is a fault of the map and a NumericalInvariantError.
-Positivity is certified by a Cholesky factorisation; the spectrum is taken
-only when the certificate fails, so that a violation is still reported with
-its exact smallest eigenvalue.
+where a violation is a fault of the map and a NumericalInvariantError.  The
+stack is split into its residue blocks once, and Hermiticity, the positivity
+certificate (a Cholesky factorisation) and, only when the certificate fails,
+the spectrum are all taken on those blocks, so that a violation is still
+reported with its exact smallest eigenvalue.  The truncated basis has one
+check too: `check_top_level` is the top-level population check of every map.
 """
 from __future__ import annotations
 
@@ -105,47 +107,44 @@ def _band_period(stack: np.ndarray) -> int:
     return int(np.gcd.reduce(np.abs(rows - cols), initial=0)) or stack.shape[-1]
 
 
-def _linear_margins(stack: np.ndarray) -> tuple:
-    """Hermiticity and trace margins; a NaN or inf element makes the first NaN or inf."""
-    # np.maximum, unlike max, passes a NaN on to the margin; inf - inf is such
-    # a NaN and fails the check, so numpy need not warn about it
-    with np.errstate(invalid="ignore"):
-        herm = reduce(np.maximum, (abs(mat - mat.conj().T).max() for mat in stack))
-        drift = abs(stack.trace(axis1=1, axis2=2) - 1.0).max()
-    return float(herm), float(drift)
-
-
-def _hermitian_blocks(stack: np.ndarray):
-    """Hermitian parts of the residue blocks of a (T, n, n) stack, one (T, m, m) block at a time.
+def _residue_blocks(stack: np.ndarray) -> list:
+    """Views of the residue blocks of a (T, n, n) stack, each (T, m, m).
 
     For a stack of several matrices the blocks are the residue classes of the
-    band period (every cat state has period 2): they hold the same spectrum as
-    the whole matrices, and a factorisation or diagonalisation of them costs
-    about the period squared less.  A lone matrix is one block: for it the scan
-    and the extra LAPACK calls cost more than they save (with them, a strobo-pe
-    run at 32 levels took 10 % longer on a 2-vCPU Xeon).  A stack whose
-    imaginary part is exactly zero, as for any state with real weights, gives
-    real blocks, which go to LAPACK's real routines.
+    band period (every cat state has period 2): every element outside them is
+    exactly zero, they hold the same spectrum as the whole matrices, and a
+    factorisation or diagonalisation of them costs about the period squared
+    less.  A lone matrix is one block: for it the scan and the extra LAPACK
+    calls cost more than they save (with them, a strobo-pe run at 32 levels
+    took 10 % longer on a 2-vCPU Xeon).  A stack whose imaginary part is
+    exactly zero, as for any state with real weights, gives real blocks, which
+    go to LAPACK's real routines.
     """
     stack = stack if stack.imag.any() else stack.real
     g = _band_period(stack) if len(stack) > 1 else 1
-    for r in range(g):
-        b = stack[:, r::g, r::g]
-        h = b + b.conj().swapaxes(1, 2)
-        h *= 0.5  # in place: a second temporary of the block's size took longer than the sum
-        yield h
+    return [stack[:, r::g, r::g] for r in range(g)]
+
+
+def _hermitian_part(b: np.ndarray) -> np.ndarray:
+    h = b + b.conj().swapaxes(1, 2)
+    h *= 0.5  # in place: a second temporary of the block's size took longer than the sum
+    return h
+
+
+def _lowest_eigenvalue(blocks: list) -> float:
+    return float(reduce(np.minimum, (np.linalg.eigvalsh(_hermitian_part(b)).min() for b in blocks)))
 
 
 def _min_eigenvalue(stack: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian parts of a (T, n, n) stack."""
-    return float(reduce(np.minimum, (np.linalg.eigvalsh(h).min() for h in _hermitian_blocks(stack))))
+    return _lowest_eigenvalue(_residue_blocks(stack))
 
 
-def _certified(stack: np.ndarray) -> bool:
-    """Whether a Cholesky factorisation proves every Hermitian-part eigenvalue of the stack >= -1e-10.
+def _certified(blocks: list) -> bool:
+    """Whether a Cholesky factorisation proves every Hermitian-part eigenvalue of the blocks >= -1e-10.
 
-    Each block H is shifted to H' = H + (1e-10 - delta) I and factorised.  A
-    factorisation R that completes satisfies R*R = H' + E with
+    Each block's Hermitian part H is shifted to H' = H + (1e-10 - delta) I and
+    factorised.  A factorisation R that completes satisfies R*R = H' + E with
     |E| <= gamma_{m+1} |R*| |R| for blocks of m levels (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., Theorem 10.3), so
     ||E||_2 <= gamma_{m+1} tr(R*R) <= gamma_{m+1} sum|h'_ii| / (1 - gamma_{m+1}),
@@ -155,7 +154,8 @@ def _certified(stack: np.ndarray) -> bool:
     a pass proves the floor outright, not only up to round-off.  A failure
     proves nothing: the caller then takes the spectrum.
     """
-    for h in _hermitian_blocks(stack):
+    for b in blocks:
+        h = _hermitian_part(b)
         m = h.shape[-1]
         weight = float(abs(h.diagonal(axis1=1, axis2=2)).sum(axis=1).max())
         delta = 2 * (m + 2) * _UNIT_ROUNDOFF * max(1.0, weight)
@@ -173,10 +173,12 @@ def check_density(stack, error=ValueError) -> DensityMargins:
 
     Tolerances: Hermiticity 1e-12, trace 1e-10, smallest eigenvalue >= -1e-10.
     Input validation keeps ValueError; a map checking its own output passes
-    NumericalInvariantError.  Hermiticity and trace are checked before
-    positivity, so a NaN or inf element raises `error` as a Hermiticity failure
-    and never reaches LAPACK.  A stack with no imaginary part is factorised and
-    diagonalised in real arithmetic.
+    NumericalInvariantError.  The stack is split into its residue blocks once
+    (`_residue_blocks`), and Hermiticity, the certificate and the spectrum are
+    all taken on those blocks; every element outside them is exactly zero, so
+    the Hermiticity margin is that of the whole matrices.  Hermiticity and
+    trace are checked before positivity, so a NaN or inf element raises
+    `error` as a Hermiticity failure and never reaches LAPACK.
 
     Positivity is certified by one batched Cholesky factorisation per block
     (`_certified`), and the margin then reports no smallest eigenvalue (None):
@@ -185,18 +187,37 @@ def check_density(stack, error=ValueError) -> DensityMargins:
     within round-off of the floor that still passes reports that eigenvalue.
     """
     stack = np.asarray(stack)
-    herm, drift = _linear_margins(stack)
+    blocks = _residue_blocks(stack)
+    # np.maximum, unlike max, passes a NaN on to the margin; inf - inf is such
+    # a NaN and fails the check, so numpy need not warn about it
+    with np.errstate(invalid="ignore"):
+        # about a quarter MiB of each block at a time, every n-th matrix: whole-block temporaries
+        # of a dense complex curve (81 states of 64 levels) fell out of cache and took twice as long
+        parts = (b[i::n] for b in blocks for n in [max(1, b.nbytes >> 18)] for i in range(n))
+        herm = float(reduce(np.maximum, (abs(c - c.conj().swapaxes(1, 2)).max() for c in parts)))
+        drift = float(abs(stack.trace(axis1=1, axis2=2) - 1.0).max())
     # negated comparisons, so that a NaN margin fails instead of passing
     if not herm <= _HERM_TOL:
         raise error(f"matrix is not Hermitian: max deviation {herm:.3e}")
     if not drift <= _TRACE_TOL:
         raise error(f"trace deviates from 1 by {drift:.3e}, beyond {_TRACE_TOL}")
-    if _certified(stack):
+    if _certified(blocks):
         return DensityMargins(herm, drift, None)
-    lo = _min_eigenvalue(stack)
+    lo = _lowest_eigenvalue(blocks)
     if not lo >= _EIG_FLOOR:
         raise error(f"smallest eigenvalue {lo:.3e} below positivity floor {_EIG_FLOOR}")
     return DensityMargins(herm, drift, lo)
+
+
+def check_top_level(stack, tol: float, why: str):
+    """TruncationError where a state of the (..., n, n) stack holds more than tol on its top level.
+
+    The one truncation check of every map, each with its own tolerance and
+    reason `why`.  A NaN population passes here; `check_density` rejects it.
+    """
+    top = float(np.max(np.real(stack[..., -1, -1])))
+    if top > tol:
+        raise TruncationError(f"population {top:.3e} on the top Fock level {why}; enlarge the basis")
 
 
 @dataclass(frozen=True)
@@ -311,20 +332,18 @@ def cat_state(alpha: complex, parity: CatParity, dim: FockDim) -> StateVector:
 
 
 def fock_superposition(terms, dim: FockDim) -> StateVector:
-    """Sparse superposition sum_k coeff_k |n_k> from (n, coeff) pairs."""
+    """Sparse superposition sum_k coeff_k |n_k> from (n, coeff) pairs; the terms of an index add up."""
     amps = np.zeros(dim.size, dtype=complex)
-    total = 0.0
     for n, coeff in terms:
         try:
             check_number("n", n, 0, dim.n_max, integer=True)
         except ConfigError:  # the message a config's Fock term shows
             raise ValueError(f"Fock index {n} outside [0, {dim.n_max}]") from None
-        coeff = check_complex("coeff", coeff)
-        amps[n] += coeff
-        total += abs(coeff) ** 2
+        amps[n] += check_complex("coeff", coeff)
+    total = float(np.sum(np.abs(amps) ** 2))
     if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"coefficient norm {total!r} deviates from 1 beyond 1e-10")
-    amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
+    amps /= np.sqrt(total)
     return StateVector(amps, dim)
 
 

@@ -18,13 +18,15 @@ gamma_T = 0 is that map alone.
 
 Every map couples a density-matrix element only to elements with the same
 off-diagonal index p, so each band evolves under its own real step matrix,
-zero for odd p.  Both feedback schemes run on one band core: `evolve_strobo`
-hands the even bands' matrices, built once per parameter set in padded blocks,
-to `continuous._propagate`, which skips zero bands (every odd band after the
-first period), and checks every state it produces, about 1 MiB of states at a
-time.  `run_sequence` runs on it.  The dense Kraus forms of the maps, the band
-matrices built row by row and the fixed point read off the diagonal band
-matrix are kept in the tests as oracles.
+zero for odd p: the parity measurement of the first period removes every odd
+band, and `evolve_strobo` does that once, before the first step.  Both
+feedback schemes run on one band core: `evolve_strobo` hands the even bands'
+matrices, built once per parameter set in padded blocks, to
+`continuous._propagate`, which skips zero bands, and checks every state it
+produces, about 1 MiB of states at a time.  `run_sequence` runs on it.  The
+dense Kraus forms of the maps, the band matrices built row by row and the
+fixed point read off the diagonal band matrix are kept in the tests as
+oracles.
 """
 from __future__ import annotations
 
@@ -36,10 +38,9 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
 from .continuous import _propagate
-from .errors import NumericalInvariantError, TruncationError, check_number, check_times
-from .fock import _CHUNK_BYTES, _TRACE_TOL, DensityMatrix, FockDim
+from .errors import NumericalInvariantError, check_number, check_times
+from .fock import _CHUNK_BYTES, _TAIL_TOL, _TRACE_TOL, DensityMatrix, FockDim, check_top_level
 
-_TOP_POPULATION_TOL = 1e-10
 _SPECTRAL_TOL = 1e-10
 
 
@@ -101,7 +102,7 @@ def _padded_bands(params: StroboParams, c: np.ndarray, ps: np.ndarray) -> np.nda
 
 
 def _step_matrices(params: StroboParams, dim: FockDim) -> dict:
-    """Complex one-step matrices of the even bands, keyed by p; every odd band's is zero.
+    """Complex one-step matrices of the even bands, keyed by p; the odd bands need none.
 
     A step map that does not conserve the trace is a fault of the computation
     and raises NumericalInvariantError before any state is stepped: every
@@ -139,39 +140,29 @@ def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> Stro
 
     The periods run through the band core of `continuous` on the step matrices
     of `_step_matrices`, built once for the run, in chunks of about 1 MiB of
-    states and at least 16 periods.  Every state of a chunk is checked for
+    states and at least 16 periods, from rho0 without its odd bands, which
+    the first parity measurement removes.  Every state of a chunk is checked for
     Hermiticity, trace and positivity (NumericalInvariantError), and when the
     feedback atom acts (eta > 0) on an even top level, population above 1e-10
-    there raises TruncationError.  Positivity is certified by a Cholesky
-    factorisation; the spectrum is taken only to report a violation with its
-    exact eigenvalue.  Only the populations of each chunk are kept.
+    there raises TruncationError.  Only the populations of each chunk are kept.
     """
     check_number("steps", steps, 0, integer=True)
     dim = rho0.dim
     mats = _step_matrices(params, dim)
-    watch_top = params.eta > 0 and dim.n_max % 2 == 0
-
-    def step_matrix(p: int, size: int) -> np.ndarray:  # an odd band's only if nonzero in rho0
-        return mats[p] if p in mats else np.zeros((size, size), dtype=complex)
-
     populations = np.empty((steps + 1, dim.size))
     populations[0] = rho0.populations()
-    state, mat, start = rho0, rho0.elements, 0
-    full = max(16, _CHUNK_BYTES // mat.nbytes)  # periods per pass: about 1 MiB of states
-    # a zero step matrix leaves signed zeros that depend on the length of its pass, so a first
-    # pass that steps nonzero odd bands of rho0 is 16 periods long, whatever the size of the state
-    chunk = 16 if mat[::2, 1::2].any() else full
+    mat = rho0.elements.copy()  # the band core is never asked for an odd band's step matrix
+    mat[::2, 1::2] = mat[1::2, ::2] = 0.0
+    state, start = rho0, 0
+    chunk = max(16, _CHUNK_BYTES // mat.nbytes)  # periods per pass: about 1 MiB of states
     while start < steps:
-        stack = _propagate(mat, step_matrix, min(chunk, steps - start))
-        if watch_top:  # the states this chunk stepped
-            top = float(np.max(stack[:-1, -1, -1].real))
-            if top > _TOP_POPULATION_TOL:
-                raise TruncationError(f"population {top:.3e} on the top Fock level would be pushed out "
-                                      "of the basis by the feedback atom; enlarge the basis")
+        stack = _propagate(mat, lambda p, _: mats[p], min(chunk, steps - start))
+        if params.eta > 0 and dim.n_max % 2 == 0:  # the states this chunk stepped
+            check_top_level(stack[:-1], _TAIL_TOL, "would be pushed out of the basis by the feedback atom")
         state = DensityMatrix.from_map(stack[1:], dim)
         # a copy: a view of the diagonal would keep the whole chunk alive
         populations[start + 1 : start + len(stack)] = stack[1:].diagonal(0, 1, 2).real
-        start, mat, chunk = start + len(stack) - 1, stack[-1], full
+        start, mat = start + len(stack) - 1, stack[-1]
     return StroboRun(state, populations)
 
 

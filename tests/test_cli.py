@@ -164,6 +164,28 @@ class TestWigner:
         out = tmp_path / "wig.csv"
         assert run_cli(["wigner", "--config", tmp_path / "cfg.json", "--out", out]) == 4
 
+    @pytest.mark.parametrize(
+        "state, evolution",
+        [
+            ({"kind": "fock", "terms": [[15, 1, 0]]}, {"kind": "continuous", "eta": 0.5, "gamma_t": 0.1}),
+            ({"kind": "fock", "terms": [[14, 1, 0]]}, {"kind": "strobo", "eta": 1.0, "steps": 3}),
+        ],
+        ids=["continuous", "strobo"],
+    )
+    def test_a_filled_top_level_exits_4(self, state, evolution, tmp_path, capsys):
+        cfg = {"state": state, "evolution": evolution, "dim": state["terms"][0][0]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run_cli(["wigner", "--config", tmp_path / "cfg.json", "--out", tmp_path / "wig.csv"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("truncation failure: population 1.000e+00 on the top Fock level ")
+
+    def test_a_repeated_fock_index_is_normed_as_its_sum(self, tmp_path, capsys):
+        # the two terms build sqrt(2) |2>, of norm 2
+        terms = [[2, 0.7071067811865476, 0], [2, 0.7071067811865476, 0]]
+        (tmp_path / "cfg.json").write_text(json.dumps({"state": {"kind": "fock", "terms": terms}}))
+        assert run_cli(["wigner", "--config", tmp_path / "cfg.json", "--out", tmp_path / "wig.csv"]) == 2
+        assert capsys.readouterr().err.startswith("config error: state.terms: coefficient norm 2.0")
+
     def test_vacuum_state(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({"state": {"kind": "vacuum"}}))
         out = tmp_path / "wig.csv"

@@ -1,3 +1,6 @@
+import re
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,14 +18,17 @@ from cavityfeedback import (
     TruncationError,
     cat_state,
     coherent_state,
+    evolve_continuous,
     evolve_strobo,
     fidelity,
     fidelity_curve,
     fock_superposition,
+    integrate_crossing,
     parity_expectation,
+    standard_pulses,
     trace_distance,
 )
-from cavityfeedback.fock import _EIG_FLOOR, _band_period, _min_eigenvalue, check_density
+from cavityfeedback.fock import _EIG_FLOOR, _band_period, _min_eigenvalue, check_density, check_top_level
 from conftest import mean_amplitude, random_density
 
 _BAD_MATRICES = {
@@ -128,6 +134,14 @@ class TestFockSuperposition:
     def test_unnormalised_coefficients_rejected(self, dim63):
         with pytest.raises(ValueError):
             fock_superposition([(0, 0.5), (1, 0.5)], dim63)
+
+    def test_a_repeated_index_is_normed_as_the_sum_it_builds(self):
+        # the terms add up to sqrt(2) |0>, whose norm is 2, not 1
+        with pytest.raises(ValueError, match="coefficient norm 2.0000000000000004 deviates from 1"):
+            fock_superposition([(0, 2**-0.5), (0, 2**-0.5)], FockDim(3))
+        # and these add up to exactly |0>
+        st = fock_superposition([(0, 0.5), (0, 0.5)], FockDim(3))
+        assert st.amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 class TestParityExpectation:
@@ -446,3 +460,90 @@ class TestCertificate:
         stack = np.array([np.diag([0.5, 0.3, 0.2]), rotated([0.6 + 1e-9, 0.4, -1e-9], 7)])
         with pytest.raises(NumericalInvariantError, match="smallest eigenvalue -1.000e-09"):
             DensityMatrix.from_map(stack, FockDim(2))
+
+
+def per_matrix_hermiticity(stack) -> float:
+    """Largest |rho - rho^dagger| element, one whole matrix at a time: the oracle of the blocked margin."""
+    with np.errstate(invalid="ignore"):
+        return float(reduce(np.maximum, (abs(m - m.conj().T).max() for m in np.asarray(stack))))
+
+
+def banded_stack(count, period, complex_weights, seed) -> np.ndarray:
+    """(count, 12, 12) density matrices of band period `period`, each off Hermitian by up to 1e-13."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(12)
+    keep = (n[:, None] - n[None, :]) % period == 0
+    mats = []
+    for k in range(count):
+        rho = random_density(11, 12, seed + k).elements
+        rho = np.where(keep, rho if complex_weights else rho.real, 0.0)  # pinching keeps it a state
+        noise = rng.uniform(-1e-13, 1e-13, (12, 12))
+        if complex_weights:
+            noise = noise + 1j * rng.uniform(-1e-13, 1e-13, (12, 12))
+        mats.append(rho + noise * keep)
+    return np.array(mats, dtype=complex)
+
+
+class TestHermiticityMargin:
+    """The margin taken over residue blocks is the per-matrix margin, bit for bit."""
+
+    @pytest.mark.parametrize("complex_weights", [False, True])
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_per_matrix_margin(self, count, period, complex_weights, seed):
+        stack = banded_stack(count, period, complex_weights, seed)
+        if count > 1:
+            assert _band_period(stack) == period
+        margin = check_density(stack).hermiticity
+        assert margin > 0.0
+        assert margin == per_matrix_hermiticity(stack)
+        if not complex_weights:  # a real stack passed as such
+            assert check_density(stack.real).hermiticity == per_matrix_hermiticity(stack.real)
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [((3, 3), np.nan), ((2, 4), np.nan), ((2, 5), np.inf), ((4, 4), np.inf),
+         ((1, 7), -np.inf), ((0, 6), complex(0.0, np.inf)), ((5, 5), complex(0.1, np.nan))],
+    )
+    @pytest.mark.parametrize("complex_weights", [False, True])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_a_non_finite_element_raises_the_per_matrix_margin(self, where, value, complex_weights, count):
+        stack = banded_stack(count, 2, complex_weights, 3)
+        stack[-1][where] = value
+        stack[-1][where[::-1]] = value if where[0] == where[1] else np.conj(value)
+        with pytest.raises(NumericalInvariantError) as info:
+            check_density(stack, NumericalInvariantError)
+        assert str(info.value) == f"matrix is not Hermitian: max deviation {per_matrix_hermiticity(stack):.3e}"
+
+
+def _top_filled(level: int) -> DensityMatrix:
+    return DensityMatrix.from_state(fock_superposition([(level, 1.0)], FockDim(level)))
+
+
+class TestTopLevelCheck:
+    """Every map raises its truncation fault through one check, `fock.check_top_level`."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: evolve_continuous(_top_filled(15), ContinuousParams(1.0, 0.5), 0.1),
+            lambda: evolve_strobo(_top_filled(14), StroboParams(1.0, 0.5, 0.02), 3),
+            lambda: integrate_crossing(_top_filled(31), standard_pulses(10.0, 10.0, 1.0), 100),
+        ],
+        ids=["continuous", "strobo", "adiabatic"],
+    )
+    def test_each_map_raises_through_the_shared_check(self, run):
+        with pytest.raises(TruncationError) as info:
+            run()
+        assert info.traceback[-1].name == "check_top_level"
+        assert re.fullmatch(r"population 1\.000e\+00 on the top Fock level \S.*; enlarge the basis", str(info.value))
+
+    def test_a_nan_population_passes(self):
+        # a NaN is left to check_density, which rejects it
+        stack = np.zeros((2, 3, 3))
+        stack[:, -1, -1] = [np.nan, 0.5]
+        check_top_level(stack, 1e-10, "in the test")
+        stack[0, -1, -1] = 0.0
+        with pytest.raises(TruncationError, match=r"^population 5\.000e-01 on the top Fock level in the test; "):
+            check_top_level(stack, 1e-10, "in the test")

@@ -620,7 +620,7 @@ class TestStroboProperties:
 
 
 _CHUNK = max(16, _CHUNK_BYTES // (16 * 32 * 32))  # periods per chunk at dim 31: about 1 MiB of states
-# 17 is one period past the 16-period first chunk of a state with odd-band coherences
+# 17 is one period past the shortest chunk, 16 periods
 _STEP_COUNTS = (1, 17, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
 
 
@@ -725,7 +725,7 @@ class TestEvolveStrobo:
 
     @pytest.mark.parametrize("odd_bands", [False, True])
     def test_chunk_length_leaves_every_bit(self, odd_bands, dim31, monkeypatch):
-        # the zero matrices of odd bands leave signed zeros; they too must not depend on the chunking
+        # the odd bands of the input are removed before the first chunk; nothing may depend on the chunking
         state = coherent_state(1.5 + 0.5j, dim31) if odd_bands else cat_state(1.8, CatParity.ODD, dim31)
         rho = DensityMatrix.from_state(state)
         params = StroboParams(0.6, 0.9, 0.05)
@@ -734,6 +734,18 @@ class TestEvolveStrobo:
         runs.append(evolve_strobo(rho, params, 40))
         assert runs[0].state.elements.tobytes() == runs[1].state.elements.tobytes()
         assert runs[0].populations.tobytes() == runs[1].populations.tobytes()
+
+    @pytest.mark.parametrize("chunk_bytes", [_CHUNK_BYTES, 0])
+    @pytest.mark.parametrize("steps", [1, 10, 16, 17, 40])
+    def test_odd_bands_are_positive_zeros(self, steps, chunk_bytes, dim31, monkeypatch):
+        # the first parity measurement removes the odd bands, whatever the signs of their entries
+        monkeypatch.setattr(strobo, "_CHUNK_BYTES", chunk_bytes)
+        rho = DensityMatrix.from_state(coherent_state(1.5 + 0.5j, dim31))
+        assert rho.elements[::2, 1::2].real.min() < 0 and rho.elements[::2, 1::2].imag.min() < 0
+        final = evolve_strobo(rho, StroboParams(0.6, 0.9, 0.05), steps).state.elements
+        for odd in (final[::2, 1::2], final[1::2, ::2]):
+            assert not np.signbit(odd.real).any() and not np.signbit(odd.imag).any()
+            assert not odd.any()
 
     @pytest.mark.parametrize("steps", [1, 2, _CHUNK + 3])
     def test_probabilities_are_the_dense_split_of_each_state(self, steps, dim31):
