@@ -131,13 +131,19 @@ def _hermitian_part(b: np.ndarray) -> np.ndarray:
     return h
 
 
+def _hermiticity(blocks: list) -> float:
+    """Largest |b - b^dagger| element of the blocks; np.maximum, unlike max, passes a NaN on to it."""
+    margins = []
+    for b in blocks:
+        # runs of whole matrices of about a quarter MiB: whole-block temporaries of a dense
+        # complex curve (81 states of 64 levels) fell out of cache and took twice as long
+        k = max(1, (1 << 18) // (b.itemsize * b.shape[-1] ** 2))
+        margins += (abs(b[i:i + k] - b[i:i + k].conj().swapaxes(1, 2)).max() for i in range(0, len(b), k))
+    return float(reduce(np.maximum, margins))
+
+
 def _lowest_eigenvalue(blocks: list) -> float:
     return float(reduce(np.minimum, (np.linalg.eigvalsh(_hermitian_part(b)).min() for b in blocks)))
-
-
-def _min_eigenvalue(stack: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian parts of a (T, n, n) stack."""
-    return _lowest_eigenvalue(_residue_blocks(stack))
 
 
 def _certified(blocks: list) -> bool:
@@ -188,13 +194,9 @@ def check_density(stack, error=ValueError) -> DensityMargins:
     """
     stack = np.asarray(stack)
     blocks = _residue_blocks(stack)
-    # np.maximum, unlike max, passes a NaN on to the margin; inf - inf is such
-    # a NaN and fails the check, so numpy need not warn about it
+    # inf - inf is a NaN and fails the check, so numpy need not warn about it
     with np.errstate(invalid="ignore"):
-        # about a quarter MiB of each block at a time, every n-th matrix: whole-block temporaries
-        # of a dense complex curve (81 states of 64 levels) fell out of cache and took twice as long
-        parts = (b[i::n] for b in blocks for n in [max(1, b.nbytes >> 18)] for i in range(n))
-        herm = float(reduce(np.maximum, (abs(c - c.conj().swapaxes(1, 2)).max() for c in parts)))
+        herm = _hermiticity(blocks)
         drift = float(abs(stack.trace(axis1=1, axis2=2) - 1.0).max())
     # negated comparisons, so that a NaN margin fails instead of passing
     if not herm <= _HERM_TOL:

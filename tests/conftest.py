@@ -4,6 +4,7 @@ import pytest
 from cavityfeedback import DensityMatrix, FockDim, NumericalInvariantError, StroboParams
 from cavityfeedback._blas import Pool
 from cavityfeedback.errors import check_number
+from cavityfeedback.fock import _lowest_eigenvalue, _residue_blocks
 from cavityfeedback.strobo import _step_matrices
 
 
@@ -49,6 +50,11 @@ def stationary_state(params: StroboParams, dim: FockDim) -> DensityMatrix:
     vec = np.real(vecs[:, int(np.argmax(at_one))])
     vec = vec / np.sum(vec)
     return DensityMatrix.from_map(np.diag(vec.astype(complex))[None], dim)
+
+
+def min_eigenvalue(stack) -> float:
+    """Smallest Hermitian-part eigenvalue of a (T, n, n) stack, on its residue blocks as `check_density` takes it."""
+    return _lowest_eigenvalue(_residue_blocks(np.asarray(stack)))
 
 
 def mean_amplitude(rho: DensityMatrix) -> complex:

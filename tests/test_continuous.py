@@ -32,8 +32,8 @@ from cavityfeedback import (
     standard_phase_diffusion,
 )
 from cavityfeedback.continuous import _band_propagator, _propagate, _uniform_steps
-from cavityfeedback.fock import _band_period, _min_eigenvalue
-from conftest import mean_amplitude, random_density
+from cavityfeedback.fock import _band_period
+from conftest import mean_amplitude, min_eigenvalue, random_density
 
 
 def grid_stack(rho0, eta, times):
@@ -526,4 +526,4 @@ class TestFidelityCurveProperties:
         stack = grid_stack(rho0, eta, times)
         assert _band_period(stack) == g
         full = min(float(np.min(np.linalg.eigvalsh(m))) for m in stack)
-        assert abs(_min_eigenvalue(stack) - full) <= 1e-14
+        assert abs(min_eigenvalue(stack) - full) <= 1e-14

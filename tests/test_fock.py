@@ -28,8 +28,8 @@ from cavityfeedback import (
     standard_pulses,
     trace_distance,
 )
-from cavityfeedback.fock import _EIG_FLOOR, _band_period, _min_eigenvalue, check_density, check_top_level
-from conftest import mean_amplitude, random_density
+from cavityfeedback.fock import _EIG_FLOOR, _band_period, check_density, check_top_level
+from conftest import mean_amplitude, min_eigenvalue, random_density
 
 _BAD_MATRICES = {
     "hermiticity": np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex),
@@ -326,7 +326,7 @@ class TestDensityMargins:
         assert _band_period(stack) == 2
         margins = check_density(stack)
         full = min(np.min(np.linalg.eigvalsh(m)) for m in stack)
-        assert abs(_min_eigenvalue(stack) - full) <= 1e-15
+        assert abs(min_eigenvalue(stack) - full) <= 1e-15
         assert margins.hermiticity == 0.0
         assert margins.trace_drift <= 1e-15
 
@@ -406,10 +406,10 @@ class TestRealPath:
             margins = check_density(stack)
         except ValueError as exc:
             assert lo < _EIG_FLOOR
-            assert str(exc) == f"smallest eigenvalue {_min_eigenvalue(stack):.3e} below positivity floor {_EIG_FLOOR}"
+            assert str(exc) == f"smallest eigenvalue {min_eigenvalue(stack):.3e} below positivity floor {_EIG_FLOOR}"
         else:
             assert lo >= _EIG_FLOOR and margins.min_eigenvalue is None
-        assert abs(_min_eigenvalue(stack) - lo) <= 1e-14
+        assert abs(min_eigenvalue(stack) - lo) <= 1e-14
 
 
 def rotated(spectrum, seed, complex_weights=True) -> np.ndarray:
@@ -434,7 +434,7 @@ class TestCertificate:
         spectrum[0] = _EIG_FLOOR + offset
         stack = np.array([rotated(spectrum, size, complex_weights)], dtype=complex)
         if offset < 0:
-            exact = _min_eigenvalue(stack)
+            exact = min_eigenvalue(stack)
             with pytest.raises(ValueError) as info:
                 check_density(stack)
             assert str(info.value) == f"smallest eigenvalue {exact:.3e} below positivity floor {_EIG_FLOOR}"
@@ -468,18 +468,18 @@ def per_matrix_hermiticity(stack) -> float:
         return float(reduce(np.maximum, (abs(m - m.conj().T).max() for m in np.asarray(stack))))
 
 
-def banded_stack(count, period, complex_weights, seed) -> np.ndarray:
-    """(count, 12, 12) density matrices of band period `period`, each off Hermitian by up to 1e-13."""
+def banded_stack(count, period, complex_weights, seed, levels=12) -> np.ndarray:
+    """(count, levels, levels) density matrices of band period `period`, each off Hermitian by up to 1e-13."""
     rng = np.random.default_rng(seed)
-    n = np.arange(12)
+    n = np.arange(levels)
     keep = (n[:, None] - n[None, :]) % period == 0
     mats = []
     for k in range(count):
-        rho = random_density(11, 12, seed + k).elements
+        rho = random_density(levels - 1, levels, seed + k).elements
         rho = np.where(keep, rho if complex_weights else rho.real, 0.0)  # pinching keeps it a state
-        noise = rng.uniform(-1e-13, 1e-13, (12, 12))
+        noise = rng.uniform(-1e-13, 1e-13, (levels, levels))
         if complex_weights:
-            noise = noise + 1j * rng.uniform(-1e-13, 1e-13, (12, 12))
+            noise = noise + 1j * rng.uniform(-1e-13, 1e-13, (levels, levels))
         mats.append(rho + noise * keep)
     return np.array(mats, dtype=complex)
 
@@ -515,6 +515,37 @@ class TestHermiticityMargin:
         with pytest.raises(NumericalInvariantError) as info:
             check_density(stack, NumericalInvariantError)
         assert str(info.value) == f"matrix is not Hermitian: max deviation {per_matrix_hermiticity(stack):.3e}"
+
+    # blocks beyond a quarter MiB are taken a few whole matrices at a time, down
+    # to one matrix (and one chunk for a lone matrix) above 128 complex levels
+    @pytest.mark.parametrize(
+        "count, levels, period, complex_weights",
+        [(40, 48, 1, True), (40, 48, 2, True), (40, 48, 1, False), (40, 48, 3, False),
+         (1, 200, 1, True), (1, 260, 1, False), (3, 130, 1, True), (3, 130, 2, True)],
+    )
+    def test_large_blocks_give_the_per_matrix_margin(self, count, levels, period, complex_weights):
+        stack = banded_stack(count, period, complex_weights, 4, levels)
+        if not complex_weights:
+            stack = stack.real
+        margin = check_density(stack).hermiticity
+        assert margin > 0.0
+        assert margin == per_matrix_hermiticity(stack)
+
+    @pytest.mark.parametrize("index", [0, 20, 39])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_element_in_any_chunk_raises_the_per_matrix_margin(self, index, value):
+        stack = banded_stack(40, 2, True, 5, 48)
+        stack[index, 6, 2] = value
+        with pytest.raises(NumericalInvariantError) as info:
+            check_density(stack, NumericalInvariantError)
+        assert str(info.value) == f"matrix is not Hermitian: max deviation {per_matrix_hermiticity(stack):.3e}"
+
+    def test_states_beyond_128_levels_pass(self):
+        rho = DensityMatrix.from_state(coherent_state(1 + 1j, FockDim(200)))
+        assert rho.dim == FockDim(200)
+        DensityMatrix.from_state(coherent_state(2.0, FockDim(260)))
+        rho128 = DensityMatrix.from_state(coherent_state(np.sqrt(5.0) * np.exp(0.3j), FockDim(128)))
+        assert len(fidelity_curve(rho128, ContinuousParams(1.0, 0.5), np.linspace(0.0, 2.0, 81)).fidelity) == 81
 
 
 def _top_filled(level: int) -> DensityMatrix:

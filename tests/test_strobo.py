@@ -27,9 +27,9 @@ from cavityfeedback import (
     run_sequence,
     trace_distance,
 )
-from cavityfeedback.fock import _min_eigenvalue, check_density
+from cavityfeedback.fock import check_density
 from cavityfeedback.strobo import _CHUNK_BYTES, _kraus_log_table, _step_matrices
-from conftest import random_density, random_parity_density, stationary_state
+from conftest import min_eigenvalue, random_density, random_parity_density, stationary_state
 
 # Dense elementwise forms of the stroboscopic maps.  The library runs every
 # map through per-band step matrices; these are the oracles it is checked
@@ -600,7 +600,7 @@ class TestStroboProperties:
             m = check_density(out.elements[None])
             assert m.hermiticity <= 1e-12
             assert m.trace_drift <= 1e-10
-            assert _min_eigenvalue(out.elements[None]) >= -1e-10
+            assert min_eigenvalue(out.elements[None]) >= -1e-10
 
     @_PROPERTY
     @given(rho=field_states(), params=params_drawn)
