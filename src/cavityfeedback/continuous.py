@@ -180,25 +180,25 @@ def fidelity_curve(rho0: DensityMatrix, params: ContinuousParams, times) -> Fide
     return FidelityCurve(overlap, margins)
 
 
+def _dephase(rho0: DensityMatrix, gamma: float, t: float, level: np.ndarray) -> DensityMatrix:
+    """Each element times exp(-(gamma t / 2) (l_n - l_m)^2) on the ladder l = level."""
+    _check_rate_and_time(gamma, t)
+    factor = np.exp(-0.5 * gamma * t * (level[:, None] - level[None, :]) ** 2)
+    return DensityMatrix.from_map((rho0.elements * factor)[None], rho0.dim)
+
+
 def ideal_offdiagonal_decay(rho0: DensityMatrix, gamma: float, t: float) -> DensityMatrix:
     """Closed-form ideal-detection evolution.
 
     Each element picks up exp(-(gamma t / 2) (sqrt(n) - sqrt(m))^2); the
     populations are untouched.
     """
-    _check_rate_and_time(gamma, t)
-    n = np.arange(rho0.dim.size, dtype=float)
-    root = np.sqrt(n)
-    factor = np.exp(-0.5 * gamma * t * (root[:, None] - root[None, :]) ** 2)
-    return DensityMatrix.from_map((rho0.elements * factor)[None], rho0.dim)
+    return _dephase(rho0, gamma, t, np.sqrt(np.arange(rho0.dim.size, dtype=float)))
 
 
 def standard_phase_diffusion(rho0: DensityMatrix, gamma: float, t: float) -> DensityMatrix:
     """Conventional phase diffusion: exp(-(gamma t / 2) (n - m)^2) per element."""
-    _check_rate_and_time(gamma, t)
-    n = np.arange(rho0.dim.size, dtype=float)
-    factor = np.exp(-0.5 * gamma * t * (n[:, None] - n[None, :]) ** 2)
-    return DensityMatrix.from_map((rho0.elements * factor)[None], rho0.dim)
+    return _dephase(rho0, gamma, t, np.arange(rho0.dim.size, dtype=float))
 
 
 def cat_fidelity_analytic(alpha2: float, parity: CatParity, gamma: float, t):

@@ -114,11 +114,12 @@ def _residue_blocks(stack: np.ndarray) -> list:
     band period (every cat state has period 2): every element outside them is
     exactly zero, they hold the same spectrum as the whole matrices, and a
     factorisation or diagonalisation of them costs about the period squared
-    less.  A lone matrix is one block: for it the scan and the extra LAPACK
-    calls cost more than they save (with them, a strobo-pe run at 32 levels
-    took 10 % longer on a 2-vCPU Xeon).  A stack whose imaginary part is
-    exactly zero, as for any state with real weights, gives real blocks, which
-    go to LAPACK's real routines.
+    less.  A lone matrix is one block: split, `check_density` of one matrix took
+    100 against 62 us for an odd cat of 64 levels, 70 against 34 us at 32 and 92
+    against 60 us for (|2> + sqrt(2)|4>)/sqrt(3) at 64; coherent states were equal
+    within 3 us (in-process, best of 5 x 2,000, two passes, 2-vCPU AVX-512 host).
+    A stack whose imaginary part is exactly zero, as for any state with real
+    weights, gives real blocks, which go to LAPACK's real routines.
     """
     stack = stack if stack.imag.any() else stack.real
     g = _band_period(stack) if len(stack) > 1 else 1

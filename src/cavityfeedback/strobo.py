@@ -58,46 +58,39 @@ class StroboParams:
         check_number("gamma_T", self.gamma_T, 0)
 
 
-def _kraus_log_table(n_dim: int, gamma_T: float) -> np.ndarray:
-    """Amplitudes c_{n,k} of the vacuum-bath Kraus operators, via log-gamma."""
-    n, k = np.ogrid[:n_dim, :n_dim]
-    log_c = 0.5 * (gammaln(n + k + 1.0) - gammaln(n + 1.0) - gammaln(k + 1.0) - n * gamma_T
-                   + k * np.log(-np.expm1(-gamma_T)))
-    return np.exp(log_c)
-
-
 def _kraus_table(n_dim: int, gamma_T: float) -> np.ndarray:
+    """Amplitudes c_{n,k} of the vacuum-bath Kraus operators, via log-gamma, in rows :n_dim."""
     c = np.zeros((2 * n_dim + 1, n_dim))  # rows from n_dim on: zeros only the band padding reads
-    c[:n_dim] = _kraus_log_table(n_dim, gamma_T) if gamma_T > 0 else np.eye(1, n_dim)  # no loss: k = 0
+    n, k = np.ogrid[:n_dim, :n_dim]  # with no loss, gamma_T = 0: k = 0 only
+    c[:n_dim] = np.exp(0.5 * (gammaln(n + k + 1.0) - gammaln(n + 1.0) - gammaln(k + 1.0) - n * gamma_T
+                              + k * np.log(-np.expm1(-gamma_T)))) if gamma_T > 0 else np.eye(1, n_dim)
     return c
 
 
 def _padded_bands(params: StroboParams, c: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """One-step matrices of the even bands ps = p0, p0 + 2, ... from Kraus table c, in one block.
 
-    Band p = ps[i] fills block[i, :n_dim - p, :n_dim - p].  Row n, column
-    j >= n: the element (j, j + p) after the parity measurement and the
-    feedback atom, then j - n photon losses; for even j the feedback atom
-    also lifts it to (j + 1, j + p + 1), which j - n + 1 losses bring back to
-    (n, n + p) when that image fits in the basis.  Row n, column n - 1 for odd
-    n: the even element one below, lifted by the feedback atom, kept by dissipation.
+    Band p = ps[i] fills block[i, :n_dim - p, :n_dim - p].  Row n, column j:
+    stay for j >= n plus lift for j >= n - 1.  Stay is the element (j, j + p)
+    after the parity measurement and the feedback atom, then j - n photon
+    losses.  Lift, for even j, is that element raised by the feedback atom to
+    (j + 1, j + p + 1), which j - n + 1 losses bring back to (n, n + p) when
+    that image fits in the basis.
     """
     n_dim, eta, mu = c.shape[1], params.eta, params.mu
     j, p, q = np.arange(n_dim - ps[0]), ps[:, None, None], ps[0] // 2
     n, s = j[:, None], c.strides[1]
-    # skew[e, i, n, j] = c[n + 2i, j - n + e], read for j >= n
+    # skew[e, i, n, j] = c[n + 2i, j - n + e], read for j >= n - e
     skew = as_strided(c, (2, q + len(ps), len(j), len(j)), (s, 2 * n_dim * s, (n_dim - 1) * s, s),
                       writeable=False)
     even = (j % 2 == 0).astype(float)
     root_j, root_jp = np.sqrt(j + 1.0), np.sqrt(j + p + 1.0)
     stay = eta * (1.0 - even) + (1.0 - eta) + eta * even * np.cos(mu * root_j) * np.cos(mu * root_jp)
     mat = skew[0, 0] * skew[0, q:] * stay
-    lift = eta * even * skew[1, 0] * skew[1, q:] * np.sin(mu * root_j) * np.sin(mu * root_jp)
-    np.add(mat, lift, out=mat, where=j < n_dim - p - 1)  # the top column's image would not fit
     mat[:, j < n] = 0.0
-    odd, p = j[1::2], ps[:, None]
-    mat[:, odd, odd - 1] += (eta * c[odd, 0] * c[odd + p, 0] * np.sin(mu * np.sqrt(odd))
-                             * np.sin(mu * np.sqrt(odd + p)))
+    lift = eta * even * skew[1, 0] * skew[1, q:] * np.sin(mu * root_j) * np.sin(mu * root_jp)
+    # the top column's lifted image would not fit
+    np.add(mat, lift, out=mat, where=(j >= n - 1) & (j < n_dim - p - 1))
     return mat
 
 

@@ -113,6 +113,7 @@ def _radial_seed(d: int, r: np.ndarray) -> np.ndarray:
 def _band_coefficients(op: np.ndarray, r: np.ndarray) -> list:
     """For each off-diagonal distance d, C_d(r) = sum_n (-1)^n op_{n,n+d} psi_{n,d}(r).
 
+    psi_{n,d} runs its recurrence from psi_{-1,d} = 0 and the seed psi_{0,d}.
     Returns a list indexed by d; entries are None for bands that are
     identically zero, and real arrays for bands with no imaginary part.
     """
@@ -125,16 +126,13 @@ def _band_coefficients(op: np.ndarray, r: np.ndarray) -> list:
             continue
         c = band * (-1.0) ** np.arange(n_dim - d)
         c = c if c.imag.any() else c.real
-        psi_prev = _radial_seed(d, r)
-        acc = c[0] * psi_prev
-        if n_dim - d > 1:
-            psi_cur = (d + 1.0 - x) / np.sqrt(d + 1.0) * psi_prev
-            acc = acc + c[1] * psi_cur
-            for n in range(1, n_dim - d - 1):
-                a = (2.0 * n + d + 1.0 - x) / np.sqrt((n + 1.0) * (n + 1.0 + d))
-                b = np.sqrt(n * (n + d) / ((n + 1.0) * (n + 1.0 + d)))
-                psi_prev, psi_cur = psi_cur, a * psi_cur - b * psi_prev
-                acc = acc + c[n + 1] * psi_cur
+        psi_prev, psi_cur = 0.0, _radial_seed(d, r)  # psi_{-1,d} = 0
+        acc = c[0] * psi_cur
+        for n in range(n_dim - d - 1):
+            a = (2.0 * n + d + 1.0 - x) / np.sqrt((n + 1.0) * (n + 1.0 + d))
+            b = np.sqrt(n * (n + d) / ((n + 1.0) * (n + 1.0 + d)))
+            psi_prev, psi_cur = psi_cur, a * psi_cur - b * psi_prev
+            acc = acc + c[n + 1] * psi_cur
         coeffs[d] = acc
     return coeffs
 

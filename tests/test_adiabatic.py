@@ -156,6 +156,15 @@ class TestIntegrateCrossing:
         with pytest.raises(NumericalInvariantError, match="under step halving"):
             integrate_crossing(vacuum(dim31), pulses, steps=30)
 
+    def test_an_unstable_coarse_run_fails_the_halving_check(self, dim31):
+        # at area 800 the coarse run of 1000 RK4 steps overflows: its NaN fidelity
+        # must fail the halving check, without a numpy warning on the way
+        pulses = standard_pulses(800.0, 800.0, 1.0)
+        rho = DensityMatrix.from_state(coherent_state(np.sqrt(3.3), dim31))
+        message = r"^transfer fidelity moved by nan under step halving$"
+        with pytest.raises(NumericalInvariantError, match=message):
+            integrate_crossing(rho, pulses, 1000)
+
     @pytest.mark.parametrize("steps", [300, 500])
     def test_a_stable_under_resolved_crossing_asks_for_more_steps(self, dim31, steps):
         # RK4 is stable here, so step halving moves the fidelity by less than 1e-6,

@@ -420,7 +420,7 @@ def test_every_raise_is_in_a_family():
 
 class TestFailureClasses:
     # what each command's map is built from; the test scales it by 1.01
-    MAP_INPUTS = {"strobo-pe": (strobo, "_kraus_log_table")}
+    MAP_INPUTS = {"strobo-pe": (strobo, "_kraus_table")}
 
     @pytest.mark.parametrize("cls", list(_FAMILIES), ids=lambda cls: cls.__name__)
     def test_each_error_exits_by_its_family(self, cls, tmp_path, monkeypatch, capsys):
@@ -481,6 +481,15 @@ class TestFailureClasses:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: trace deviates from 1 by 8.605e-09")
         assert "steps = 300" in err and "raise steps" in err
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_an_unstable_coarse_run_exits_3_at_the_halving_check(self, tmp_path, capsys):
+        # the coarse run overflows; the unstable run is blamed, in one line and no warning
+        (tmp_path / "area.json").write_text(json.dumps({"areas": [800.0]}))
+        args = ["adiabatic", "--config", tmp_path / "area.json", "--steps", 1000, "--out", tmp_path / "a.csv"]
+        assert run_cli(args) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: transfer fidelity moved by nan under step halving\n"
         assert not (tmp_path / "a.csv").exists()
 
     def test_a_failed_sidecar_check_exits_3_and_still_writes_both_files(self, tmp_path, monkeypatch, capsys):

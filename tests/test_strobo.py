@@ -28,7 +28,7 @@ from cavityfeedback import (
     trace_distance,
 )
 from cavityfeedback.fock import check_density
-from cavityfeedback.strobo import _CHUNK_BYTES, _kraus_log_table, _step_matrices
+from cavityfeedback.strobo import _CHUNK_BYTES, _kraus_table, _step_matrices
 from conftest import min_eigenvalue, random_density, random_parity_density, stationary_state
 
 # Dense elementwise forms of the stroboscopic maps.  The library runs every
@@ -77,7 +77,7 @@ def _dissipation_elements(arr, gamma_T):
     if gamma_T == 0.0:
         return arr.copy()
     n_dim = arr.shape[0]
-    c = _kraus_log_table(n_dim, gamma_T)
+    c = _kraus_table(n_dim, gamma_T)[:n_dim]
     out = np.zeros_like(arr)
     for k in range(n_dim):
         m = n_dim - k
@@ -129,7 +129,7 @@ def band_matrix_rows(p, params, dim):
         return mat
     eta, mu = params.eta, params.mu
     if params.gamma_T > 0:
-        c = _kraus_log_table(n_dim, params.gamma_T)
+        c = _kraus_table(n_dim, params.gamma_T)[:n_dim]
     else:
         c = np.zeros((n_dim, n_dim))
         c[:, 0] = 1.0
