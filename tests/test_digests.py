@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from cavityfeedback import cli
+
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "digests.py"
 _SPEC = importlib.util.spec_from_file_location("digests", _TOOL)
 digests = importlib.util.module_from_spec(_SPEC)
@@ -72,3 +74,57 @@ def test_a_move_fails_the_check_only_in_the_manifests_environment(
     assert out.startswith(f"1 runs, 2 files: {2 if csv == 'a' else 1} byte-identical to digests.json")
     assert ("moved: r csv" in out) == (csv != "a")
     assert ("environment numpy: 0.0 in the manifest" in out) == (environment == "other")
+
+
+def _table_keys(table) -> set:
+    """Every key a command's table reads: top level, each kind and key of a section, each rows field."""
+    keys = set()
+    for key, k in table.items():
+        keys.add(key)
+        if k.spec.type == "section":
+            keys |= {f"{key}.{kind}" for kind in k.spec.of}
+            keys |= {f"{key}.{kind}.{name}" for kind, sub in k.spec.of.items() for name in sub}
+        elif k.spec.type == "rows":
+            keys |= {f"{key}.{name}" for name in k.spec.of}
+    return keys
+
+
+def _keys_set(table, flags, config, flag_keys) -> set:
+    """The keys of `table` one run sets by its config or its flags, named as `_table_keys` names them."""
+    config = config or {}
+    keys = set()
+
+    def kind_of(key):
+        section = config.get(key, table[key].default)
+        return section.get("kind", next(iter(table[key].spec.of)))
+
+    for key, value in config.items():
+        keys.add(key)
+        if table[key].spec.type == "section":
+            keys.add(f"{key}.{kind_of(key)}")
+            keys |= {f"{key}.{kind_of(key)}.{name}" for name in value if name != "kind"}
+        elif table[key].spec.type == "rows":
+            keys |= {f"{key}.{name}" for name in table[key].spec.of}
+    for flag in flags[::2]:
+        dotted = flag_keys[flag[2:].replace("-", "_")][0]
+        key, _, name = dotted.partition(".")
+        keys.add(key)
+        if name and table[key].spec.type == "section":
+            keys |= {f"{key}.{kind_of(key)}", f"{key}.{kind_of(key)}.{name}"}
+        elif name:
+            keys.add(dotted)
+    return keys
+
+
+def test_the_run_list_sets_every_config_key_and_passes_every_flag():
+    unset, unpassed = {}, {}
+    for command, (_, table) in cli._COMMANDS.items():
+        flag_keys = cli._flags(command)
+        runs = [spec for spec in digests.run_list().values() if spec[0] == command]
+        assert all(len(flags) % 2 == 0 for _, flags, _ in runs)  # every flag takes one value
+        keys = set().union(*(_keys_set(table, flags, config, flag_keys) for _, flags, config in runs))
+        passed = {flag[2:].replace("-", "_") for _, flags, _ in runs for flag in flags[::2]}
+        unset[command] = sorted(_table_keys(table) - keys)
+        unpassed[command] = sorted(flag_keys.keys() - passed)
+    assert unset == {command: [] for command in cli._COMMANDS}
+    assert unpassed == {command: [] for command in cli._COMMANDS}

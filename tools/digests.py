@@ -9,9 +9,11 @@ tools/digests.json:
 
 The list holds the six CLI defaults, the README examples, qubit-protect at
 six efficiencies, runs at the dimension cap, Wigner functions after
-stroboscopic evolution and of a complex Fock superposition, and every op of
-the four benchmark pools at seeds 1, 2, 3 and 9001, drawn by the generators
-of perfbench/workloads.py.
+stroboscopic evolution and of a complex Fock superposition, runs that
+between them set every config key and pass every flag of every command
+(adiabatic at several pulse areas and from every kind of initial state among
+them), and every op of the four benchmark pools at seeds 1, 2, 3 and 9001,
+drawn by the generators of perfbench/workloads.py.
 
 --check names each file that moved.  To say what moved, it runs the moved
 runs again on a reference tree, `git archive` of the commit that last wrote
@@ -69,6 +71,37 @@ def _strobo_wigner(state: dict, steps: int) -> dict:
     return {"state": state, "evolution": {"kind": "strobo", "eta": 1.0, "steps": steps}}
 
 
+def _option_runs(fock: dict) -> dict:
+    """Runs that between them, with the rest of the list, set every config key and pass every flag."""
+    curve = ["--eta", "0,0.5,1", "--gamma-t", "1.5", "--steps", "30", "--dim", "31"]
+    runs = {
+        "options/fidelity-cat": ["fidelity-cat", ["--alpha2", "2", *curve], None],
+        "options/fidelity-fock": ["fidelity-fock", ["--alpha2", "0.5", *curve], {"n": 1, "m": 6}],
+        "options/wigner-continuous": ["wigner", ["--alpha2", "2", "--eta", "0.5", "--gamma-t", "0.3", "--dim", "31",
+                                                 "--grid-extent", "4", "--grid-points", "41"],
+                                      {"state": {"kind": "coherent"}, "evolution": {"kind": "continuous"}}],
+        "options/wigner-strobo": ["wigner", ["--mu", "1", "--steps", "10", "--eta", "0.8"],
+                                  {"state": {"kind": "cat-even", "alpha2": 3.0},
+                                   "evolution": {"kind": "strobo", "gamma_t_step": 0.05}}],
+        "options/wigner-vacuum": ["wigner", [], {"state": {"kind": "vacuum"}, "evolution": {"kind": "none"}}],
+        "options/strobo-pe": ["strobo-pe", ["--alpha2", "2", "--mu", "0.7", "--gamma-t", "0.5"], None],
+        "options/qubit-protect": ["qubit-protect", ["--eta", "0.6", "--gamma-t", "1.5", "--steps", "40"],
+                                  {"n": 3, "m": 5}],
+        "options/qubit-protect-config": ["qubit-protect", [], {"gamma_t": 3.0, "steps": 30, "n": 2, "m": 7}],
+    }
+    # pulse areas, each initial state, and an unstable coarse run whose one-line exit-3 message is pinned
+    for name, flags, cfg in [
+        ("areas-5-150", [], {"areas": [5.0, 150.0]}),
+        ("area-800-steps-1000", ["--steps", "1000"], {"areas": [800.0]}),
+        ("cat-odd", ["--alpha2", "2", "--steps", "2000"], {"state": {"kind": "cat-odd"}, "areas": [50.0]}),
+        ("cat-even", [], {"state": {"kind": "cat-even", "alpha2": 1.5}, "areas": [100.0]}),
+        ("fock", [], {"state": fock, "areas": [20.0]}),
+        ("vacuum", [], {"state": {"kind": "vacuum"}, "areas": [200.0], "dim": 15}),
+    ]:
+        runs[f"options/adiabatic-{name}"] = ["adiabatic", flags, cfg]
+    return runs
+
+
 def run_list() -> dict:
     """Every run of the manifest, {name: [command, flags, config or None]}."""
     runs = {f"default/{c}": [c, [], None]
@@ -87,6 +120,7 @@ def run_list() -> dict:
         runs[f"wigner-strobo/{name}-{steps}"] = ["wigner", [], _strobo_wigner(state, steps)]
     complex_fock = {"kind": "fock", "terms": [[1, 0.6, 0], [3, 0, 0.8]]}
     runs["wigner/fock-complex"] = ["wigner", [], {"state": complex_fock}]
+    runs.update(_option_runs(complex_fock))
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             for i, op in enumerate(workloads.make_pool(workload, seed)):
