@@ -165,12 +165,6 @@ def _crossing(pulses: PulsePair, n_sectors: int, steps: int, weights=None):
     return u.T, peak_e
 
 
-def _transfer_fidelity(rho: np.ndarray, a: np.ndarray) -> float:
-    """Overlap of the evolved joint state with the one-photon-shifted target."""
-    weights = np.abs(rho) ** 2
-    return float(a @ weights @ a)
-
-
 def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
     """Drive one atom through the crossing; atom starts in its first ground state.
 
@@ -190,8 +184,8 @@ def integrate_crossing(field_rho: DensityMatrix, pulses: PulsePair, steps: int):
         # the coarse run feeds only the halving check, so it keeps only its final state
         coarse, _ = _crossing(pulses, n_dim, steps)
         fine, peak_e = _crossing(pulses, n_dim, 2 * steps, populations)
-        f_coarse = _transfer_fidelity(rho, coarse[:, 2])
-        f_fine = _transfer_fidelity(rho, fine[:, 2])
+        weights = np.abs(rho) ** 2  # transfer fidelity: overlap of the evolved state with the shifted target
+        f_coarse, f_fine = (float(a @ weights @ a) for a in (coarse[:, 2], fine[:, 2]))
     if not abs(f_fine - f_coarse) <= _FIDELITY_STEP_TOL:
         raise NumericalInvariantError(
             f"transfer fidelity moved by {abs(f_fine - f_coarse):.3e} under step halving"

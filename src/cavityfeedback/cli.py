@@ -224,8 +224,8 @@ def cmd_fidelity_fock(cfg):
         raise ConfigError("m", f"exceeds dim = {dim.n_max}")
 
     beta2 = 1.0 - alpha2
-    state = fock_superposition([(n, np.sqrt(alpha2)), (m, np.sqrt(beta2))], dim)
-    rho0 = DensityMatrix.from_state(state)
+    terms = [[n, np.sqrt(alpha2), 0], [m, np.sqrt(beta2), 0]]
+    rho0 = _build_state({"kind": "fock", "terms": terms}, dim, "")
     header, columns = ["gamma_t"], [times]
     worst_dev = 0.0
     for eta in cfg["eta"]:

@@ -54,16 +54,11 @@ class ContinuousParams:
         check_number("eta", self.eta, 0, 1)
 
 
-def _band_generator(eta: float, p: int, length: int):
-    """Per-band generator in units of gamma: diagonal and upper coupling."""
+def _band_propagator(eta: float, gamma_t: float, p: int, length: int) -> np.ndarray:
+    """exp(gamma_t G) of the band p's upper-bidiagonal generator G, in units of gamma."""
     i = np.arange(length, dtype=float)
     diag = eta * np.sqrt(i * (i + p)) - (2.0 * i + p) / 2.0
     upper = (1.0 - eta) * np.sqrt((i[:-1] + 1.0) * (i[:-1] + p + 1.0))
-    return diag, upper
-
-
-def _band_propagator(eta: float, gamma_t: float, p: int, length: int) -> np.ndarray:
-    diag, upper = _band_generator(eta, p, length)
     return expm(gamma_t * (np.diag(diag) + np.diag(upper, 1))).astype(complex)
 
 

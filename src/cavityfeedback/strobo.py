@@ -146,16 +146,16 @@ def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> Stro
     populations[0] = rho0.populations()
     mat = rho0.elements.copy()  # the band core is never asked for an odd band's step matrix
     mat[::2, 1::2] = mat[1::2, ::2] = 0.0
-    state, start = rho0, 0
+    state = rho0
     chunk = max(16, _CHUNK_BYTES // mat.nbytes)  # periods per pass: about 1 MiB of states
-    while start < steps:
+    for start in range(0, steps, chunk):
         stack = _propagate(mat, lambda p, _: mats[p], min(chunk, steps - start))
         if params.eta > 0 and dim.n_max % 2 == 0:  # the states this chunk stepped
             check_top_level(stack[:-1], _TAIL_TOL, "would be pushed out of the basis by the feedback atom")
         state = DensityMatrix.from_map(stack[1:], dim)
         # a copy: a view of the diagonal would keep the whole chunk alive
         populations[start + 1 : start + len(stack)] = stack[1:].diagonal(0, 1, 2).real
-        start, mat = start + len(stack) - 1, stack[-1]
+        mat = stack[-1]
     return StroboRun(state, populations)
 
 

@@ -159,24 +159,18 @@ def _transform_points(op: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.nd
     return (2.0 / np.pi) * w.reshape(r.shape)
 
 
-def _quadrature(kind: str, grid, values: np.ndarray) -> float:
-    if kind == "cartesian":
-        return float(np.trapezoid(np.trapezoid(values, grid.y, axis=1), grid.x))
-    inner = np.trapezoid(values, grid.theta, axis=1)
-    return float(np.trapezoid(inner * grid.r, grid.r))
-
-
 def _transform(op: np.ndarray, grid, source_digest: str, expected_integral: float, scale: float):
     if isinstance(grid, CartesianGrid):
         kind, ax1, ax2 = "cartesian", grid.x, grid.y
         xg, yg = np.meshgrid(ax1, ax2, indexing="ij")
         values = _transform_points(op, np.hypot(xg, yg), np.arctan2(yg, xg))
+        integral = float(np.trapezoid(np.trapezoid(values, grid.y, axis=1), grid.x))
     elif isinstance(grid, PolarGrid):
         kind, ax1, ax2 = "polar", grid.r, grid.theta
         values = _transform_points(op, *np.meshgrid(ax1, ax2, indexing="ij"))
+        integral = float(np.trapezoid(np.trapezoid(values, grid.theta, axis=1) * grid.r, grid.r))
     else:
         raise ValueError(f"unsupported grid type {type(grid).__name__}")
-    integral = _quadrature(kind, grid, values)
     if abs(integral - expected_integral) > _QUAD_HARD_TOL * scale:
         raise NumericalInvariantError(
             f"quadrature gave {integral:.6f}, expected {expected_integral:.6f} "
