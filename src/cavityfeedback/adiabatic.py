@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalInvariantError, check_number
+from .errors import ConfigError, NumericalInvariantError, check_number
 from .fock import _CHUNK_BYTES, _TAIL_TOL, _TRACE_TOL, DensityMatrix, check_top_level
 
 _FIDELITY_STEP_TOL = 1e-6
@@ -223,20 +223,21 @@ def adiabaticity_report(
     The crossing must be slow against both peak couplings yet fast against
     photon loss and spontaneous emission.  Returns one `InequalityCheck` per
     link; a ratio strictly above 10 passes, exact equality is only
-    marginal.
+    marginal; a ratio that overflows raises ConfigError naming its argument.
     """
-    check_number("n_bar", n_bar, 0, lo_open=True)
-    check_number("gamma", gamma, 0, lo_open=True)
-    check_number("gamma_e", gamma_e, 0, lo_open=True)
-    rate = 1.0 / pulses.t_cross
-    entries = (
-        ("omega_max vs crossing rate", pulses.omega_max / rate),
-        ("g_max vs crossing rate", pulses.g_max / rate),
-        ("crossing rate vs photon loss", rate / (n_bar * gamma)),
-        ("crossing rate vs spontaneous emission", rate / gamma_e),
+    n_bar, gamma, gamma_e = (check_number(name, value, 0, lo_open=True)
+                             for name, value in (("n_bar", n_bar), ("gamma", gamma), ("gamma_e", gamma_e)))
+    rate, loss = check_number("1 / t_cross", 1.0 / pulses.t_cross), n_bar * gamma
+    entries = (  # each ratio, and what overflows it: a tiny rate, or n_bar gamma underflowing to 0
+        ("omega_max vs crossing rate", pulses.omega_max / rate, "omega_max"),
+        ("g_max vs crossing rate", pulses.g_max / rate, "g_max"),
+        ("crossing rate vs photon loss", rate / loss if loss else math.inf, "n_bar * gamma"),
+        ("crossing rate vs spontaneous emission", rate / gamma_e, "gamma_e"),
     )
     checks = []
-    for name, ratio in entries:
+    for name, ratio, key in entries:
+        if not math.isfinite(ratio):
+            raise ConfigError(key, f"makes the ratio {name} overflow to {ratio!r}")
         if ratio > _TIMESCALE_FACTOR:
             status = "pass"
         elif ratio == _TIMESCALE_FACTOR:

@@ -435,7 +435,7 @@ def _csv_text(header, rows) -> str:
 
 
 def _write_outputs(out_path: Path, command: str, cfg: dict, header, rows, checks, extras):
-    """Write the CSV and its strict-JSON sidecar; a NaN or infinity in either writes neither."""
+    """Write the CSV and its strict-JSON sidecar; a NaN, an infinity or an unwritable path writes neither."""
     csv_text = _csv_text(header, rows)
     sidecar = {
         "command": command,
@@ -449,8 +449,15 @@ def _write_outputs(out_path: Path, command: str, cfg: dict, header, rows, checks
         sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalInvariantError(f"non-finite value in the sidecar: {exc}") from None
-    out_path.write_text(csv_text, encoding="utf-8", newline="\n")
-    out_path.with_suffix(".json").write_text(sidecar_text, encoding="utf-8", newline="\n")
+    csv_written = False
+    try:
+        out_path.write_text(csv_text, encoding="utf-8", newline="\n")
+        csv_written = True
+        out_path.with_suffix(".json").write_text(sidecar_text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        if csv_written:  # the CSV without its sidecar
+            out_path.unlink()
+        raise ConfigError("out", f"cannot write the outputs: {exc}") from None
     return sidecar
 
 

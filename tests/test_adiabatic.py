@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cavityfeedback import (
     CatParity,
+    ConfigError,
     DensityMatrix,
     FockDim,
     NumericalInvariantError,
@@ -440,6 +441,19 @@ class TestAdiabaticityReport:
         assert by_name["g_max vs crossing rate"].ratio == 10.0
         assert by_name["g_max vs crossing rate"].status == "marginal"
         assert [c.status for c in checks].count("pass") == 3
+
+    @pytest.mark.parametrize(
+        "pulses, rates, key",
+        [
+            (standard_pulses(100.0, 100.0, 1.0), (5e-324, 0.005, 0.05), "n_bar * gamma"),  # underflows to 0
+            (standard_pulses(100.0, 100.0, 1.0), (3.3, 0.005, 1e-320), "gamma_e"),  # overflows its ratio
+            (PulsePair(1.0, 1.0, 5e-324, 1.0, 1.0), (3.3, 0.005, 0.05), "1 / t_cross"),
+        ],
+    )
+    def test_a_rate_outside_the_floats_raises_naming_it(self, pulses, rates, key):
+        with pytest.raises(ConfigError) as exc:
+            adiabaticity_report(pulses, *rates)
+        assert exc.value.param == key
 
     @pytest.mark.parametrize("rates", [(np.nan, 0.001, 0.01), (3.3, np.nan, 0.01), (3.3, 0.001, np.nan)])
     def test_nan_rate_raises(self, rates):

@@ -664,6 +664,21 @@ class TestCsvWriter:
         assert "numerical failure: non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_an_out_in_a_missing_directory_exits_2(self, tmp_path):
+        out = tmp_path / "missing" / "q.csv"
+        code, err = run_captured(["qubit-protect", "--out", out])
+        assert code == 2
+        assert err.startswith("config error: out: cannot write the outputs: ") and err.count("\n") == 1, err
+        assert not out.parent.exists()
+
+    def test_a_sidecar_that_cannot_be_written_leaves_no_csv(self, tmp_path):
+        out = tmp_path / "q.csv"
+        out.with_suffix(".json").mkdir()
+        code, err = run_captured(["qubit-protect", "--out", out])
+        assert code == 2
+        assert err.startswith("config error: out: cannot write the outputs: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_non_finite_sidecar_value_exits_3(self, tmp_path, monkeypatch, capsys):
         # the sidecar is strict JSON: a NaN in it writes neither file
         monkeypatch.setattr(cli, "fringe_visibility", lambda wg: float("nan"))
@@ -921,6 +936,9 @@ class TestConfigTable:
             ("strobo-pe", {}, ["--alpha2", 1e-20], "alpha2"),
             ("wigner", {}, ["--alpha2", 1e-20], "state.alpha2"),
             ("adiabatic", {"state": {"kind": "cat-odd", "alpha2": 1e-20}}, [], "state.alpha2"),
+            # the timescale report: a product that underflows to 0, a ratio that overflows
+            ("adiabatic", {"n_bar": 5e-324}, [], "n_bar * gamma"),
+            ("adiabatic", {"gamma_e": 1e-320}, [], "gamma_e"),
         ],
     )
     def test_reproduced_case_exits_2_naming_its_key(self, command, cfg, flags, key, tmp_path):
