@@ -8,7 +8,8 @@ tools/digests.json:
     python tools/digests.py --check    # run the list, compare with the manifest
 
 The list holds the six CLI defaults, the README examples, qubit-protect at
-six efficiencies, runs at the dimension cap, Wigner functions after
+six efficiencies, runs at the dimension cap (two of them long enough to step
+either map through several chunks), Wigner functions after
 stroboscopic evolution and of a complex Fock superposition, runs that
 between them set every config key and pass every flag of every command
 (adiabatic at several pulse areas and from every kind of initial state among
@@ -112,6 +113,9 @@ def run_list() -> dict:
     runs.update({f"qubit-protect/eta={eta}": ["qubit-protect", ["--eta", eta], None] for eta in QUBIT_ETAS})
     runs["cap/strobo-pe-dim127"] = ["strobo-pe", ["--dim", "127", "--gamma-t", "0.1"], None]
     runs["cap/adiabatic-dim127"] = ["adiabatic", ["--dim", "127"], None]
+    # runs that step either map through several chunks of the band core
+    runs["cap/fidelity-cat-dim127"] = ["fidelity-cat", ["--dim", "127", "--steps", "1000", "--eta", "0,0.5"], None]
+    runs["cap/strobo-pe-dim127-long"] = ["strobo-pe", ["--dim", "127", "--gamma-t", "2"], None]
     coherent, cat = {"kind": "coherent", "alpha2": 2.0}, {"kind": "cat-odd", "alpha2": 5.0}
     real, imag = [[0, 0.6, 0], [1, -0.8, 0]], [[0, 0.6, 0], [1, 0, 0.8]]
     for name, state, steps in [("coherent", coherent, 5), ("coherent", coherent, 20), ("cat", cat, 20),
