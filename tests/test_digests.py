@@ -34,6 +34,35 @@ def test_names_that_differ_after_a_dot_keep_their_own_files(tmp_path):
     assert not any("stderr" in row for row in table.values())
 
 
+_FAKE_CLI = """
+def main(argv):
+    out = argv[argv.index("--out") + 1]
+    if argv[0] == "raises":
+        raise ValueError("a fault of the run")
+    if argv[0] == "usage":
+        raise SystemExit(2)
+    for path in (out, out[:-4] + ".json"):
+        with open(path, "w") as fh:
+            fh.write(argv[0])
+    return 0
+"""
+
+
+def test_a_run_that_raises_is_exit_1_and_the_list_goes_on(tmp_path):
+    # one traceback once stopped the child, and no run of the list was digested
+    package = tmp_path / "src" / "cavityfeedback"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(_FAKE_CLI)
+    (tmp_path / "out").mkdir()
+    runs = {name: [name, [], None] for name in ("first", "raises", "usage", "last")}
+    table = digests.digests(tmp_path / "src", runs, tmp_path / "out")
+    assert table["raises"] == {"exit": 1, "csv": None, "sidecar": None, "stderr": "ValueError: a fault of the run\n"}
+    assert table["usage"] == {"exit": 2, "csv": None, "sidecar": None}
+    for name in ("first", "last"):
+        assert table[name]["exit"] == 0 and None not in (table[name]["csv"], table[name]["sidecar"])
+
+
 def test_a_moved_csv_column_is_named_with_its_cells_and_largest_change(tmp_path):
     ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
     ref.write_text("t,F,G\n0,1,2\n1,0.5,3\n2,0.25,4\n")

@@ -23,7 +23,9 @@ that moved with its cell count and largest change, and each sidecar key
 with its change.  Output bits depend on the BLAS build and the CPU's
 kernels, so the check fails (exit 1) only where the environment equals the
 manifest's; elsewhere it reports and exits 0.  The runs execute in a child
-interpreter that imports the package from the tree's `src/`.
+interpreter that imports the package from the tree's `src/`; a run that ends
+in a traceback is recorded as exit 1 with the exception's last line, and the
+list goes on.
 """
 from __future__ import annotations
 
@@ -50,9 +52,10 @@ QUBIT_ETAS = ("0", "0.1", "0.3", "0.7", "0.9", "0.99")
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  the benchmark's op pools, read and never edited
 
-# jobs [[stem, command, flags, config or None]] from stdin; prints [[exit code, stderr]]
+# jobs [[stem, command, flags, config or None]] from stdin; prints [[exit code, stderr]], where a
+# run that raises is exit 1 with the exception's last line and argparse's exit keeps its code
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, traceback
 sys.path.insert(0, sys.argv[1])
 from cavityfeedback.cli import main
 results = []
@@ -63,7 +66,14 @@ for stem, command, flags, config in json.load(sys.stdin):
         flags = flags + ["--config", stem + ".cfg"]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        results.append([main([command, *flags, "--out", stem + ".csv"]), err.getvalue()])
+        try:
+            code = main([command, *flags, "--out", stem + ".csv"])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = 1
+            err.write(traceback.format_exception_only(exc)[-1])
+    results.append([code, err.getvalue()])
 print(json.dumps(results))
 """
 
