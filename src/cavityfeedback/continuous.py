@@ -12,22 +12,24 @@ to the element one step up the same off-diagonal:
 so each off-diagonal band evolves under its own upper-bidiagonal generator.
 One band core, `_propagate`, serves every map here and the stroboscopic maps
 of `strobo`: it applies a per-band step matrix to each band that is nonzero
-in the input and skips zero bands.  Here the step matrix is an exact matrix
-exponential (scipy's scaling-and-squaring `expm`, Al-Mohy & Higham 2009), so
-no time stepper and no integrator tolerance enters any result.
-An input state with population above 1e-8 on the top level is a truncation
-fault (`fock.check_top_level`).  Every state a map returns is checked for
-Hermiticity, trace and positivity at every time point, in one pass over the
-stack of states (`fock.check_density`).  `fidelity_curve` reads the overlap
-with the initial state off that stack without building a state object per
-time point.  The band loop runs on one BLAS thread: its matrices are at most
+in the input and skips zero bands.  One generator, `_chunks`, steps it for both
+feedback maps, 8 MiB or 16 states at a time, building each band's step matrix
+once.  Here the step matrix is an exact matrix exponential (scipy's
+scaling-and-squaring `expm`, Al-Mohy & Higham 2009), so no time stepper and
+no integrator tolerance enters any result.  Population above 1e-8 on the top
+level of an input state is a truncation fault (`fock.check_top_level`).
+Every state a map returns is checked for Hermiticity, trace and positivity,
+in one pass per chunk (`fock.check_density`); `fidelity_curve` reads the
+overlap with rho0 off each chunk, with no state object per time point.  The
+band loop runs on one BLAS thread: its matrices are at most
 (n_max + 1) x (n_max + 1) and its products depend on one another, so on them
 a second OpenBLAS thread costs more than it computes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +38,7 @@ from scipy.special import gammaln
 
 from ._blas import threads
 from .errors import NumericalInvariantError, check_number, check_times
-from .fock import CatParity, DensityMargins, DensityMatrix, check_density, check_top_level
+from .fock import _STATE_BYTES, CatParity, DensityMargins, DensityMatrix, check_density, check_top_level
 
 _TOP_POPULATION_TOL = 1e-8
 _LEAKAGE = "where leakage above the cutoff is not modelled"
@@ -96,6 +98,22 @@ def _propagate(mat: np.ndarray, step_matrix, steps: int) -> np.ndarray:
             if p and mirrored:
                 lower[1:] = upper[1:].conj() + 0.0
     return stack
+
+
+def _chunks(mat: np.ndarray, step_matrix, steps: int, top=None):
+    """Stacks of mat after 1, ..., steps steps of the band core, each chunk from the last state before it.
+
+    At most max(16, `fock._STATE_BYTES` // mat.nbytes) states a stack, each step matrix built once per
+    run; with top = (tol, why), the states a chunk stepped pass `check_top_level` before it is handed over.
+    """
+    step_matrix = cache(step_matrix)
+    chunk = max(16, _STATE_BYTES // mat.nbytes)
+    for start in range(0, steps, chunk):
+        stack = _propagate(mat, step_matrix, min(chunk, steps - start))
+        if top is not None:
+            check_top_level(stack[:-1], *top)
+        yield stack[1:]
+        mat = stack[-1]
 
 
 def _check_rate_and_time(gamma: float, t, name: str = "t", *, array: bool = False):
@@ -161,18 +179,21 @@ def fidelity_curve(rho0: DensityMatrix, params: ContinuousParams, times) -> Fide
     It is summed as `fidelity` sums it, so the values equal those of `fidelity`
     on the state at each time point, but no state object is built per time
     point.  Every rho(t) is still checked for Hermiticity, trace and
-    positivity, and a violation raises NumericalInvariantError.  Positivity is
-    certified, not diagonalised, so `margins.min_eigenvalue` is None unless
-    the certificate failed and the spectrum was taken (`fock.check_density`).
+    positivity, chunk by chunk, and a violation raises NumericalInvariantError;
+    the margins are the worst of the chunks'.  `margins.min_eigenvalue` is None
+    unless a chunk's positivity certificate failed (`fock.check_density`).
     """
     dt, steps = _uniform_steps(times)
     _check_rate_and_time(params.gamma, dt, "dt")
     check_top_level(rho0.elements, _TOP_POPULATION_TOL, _LEAKAGE)
     step = partial(_band_propagator, params.eta, params.gamma * dt)
-    stack = _propagate(rho0.elements, step, steps)
-    margins = check_density(stack, NumericalInvariantError)
-    overlap = np.array([np.vdot(rho0.elements, mat).real for mat in stack])
-    return FidelityCurve(overlap, margins)
+    overlap, margins = [], []
+    for stack in chain([rho0.elements[None]], _chunks(rho0.elements, step, steps)):
+        margins.append(check_density(stack, NumericalInvariantError))
+        overlap += (np.vdot(rho0.elements, mat).real for mat in stack)
+    herm, drift, lows = zip(*margins)
+    lowest = min((low for low in lows if low is not None), default=None)
+    return FidelityCurve(np.array(overlap), DensityMargins(max(herm), max(drift), lowest))
 
 
 def _dephase(rho0: DensityMatrix, gamma: float, t: float, level: np.ndarray) -> DensityMatrix:

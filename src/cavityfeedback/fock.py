@@ -33,8 +33,8 @@ _TRACE_TOL = 1e-10
 _EIG_FLOOR = -1e-10
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _TAIL_TOL = 1e-10
-# the memory of one chunk: strobo states and padded band entries, crossing step matrices
-_CHUNK_BYTES = 2**20
+_CHUNK_BYTES = 2**20  # the memory of one chunk: padded strobo band entries, crossing step matrices
+_STATE_BYTES = 2**23  # the states of one chunk of the band core, for both feedback maps
 
 
 @dataclass(frozen=True)
@@ -216,9 +216,9 @@ def check_top_level(stack, tol: float, why: str):
     """TruncationError where a state of the (..., n, n) stack holds more than tol on its top level.
 
     The one truncation check of every map, each with its own tolerance and
-    reason `why`.  A NaN population passes here; `check_density` rejects it.
+    reason `why`.  NaN populations are skipped (`check_density` rejects them).
     """
-    top = float(np.max(np.real(stack[..., -1, -1])))
+    top = float(np.fmax.reduce(np.real(stack[..., -1, -1]), axis=None))
     if top > tol:
         raise TruncationError(f"population {top:.3e} on the top Fock level {why}; enlarge the basis")
 

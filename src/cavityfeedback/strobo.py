@@ -21,12 +21,11 @@ off-diagonal index p, so each band evolves under its own real step matrix,
 zero for odd p: the parity measurement of the first period removes every odd
 band, and `evolve_strobo` does that once, before the first step.  Both
 feedback schemes run on one band core: `evolve_strobo` hands the even bands'
-matrices, built once per parameter set in padded blocks, to
-`continuous._propagate`, which skips zero bands, and checks every state it
-produces, about 1 MiB of states at a time.  `run_sequence` runs on it.  The
-dense Kraus forms of the maps, the band matrices built row by row and the
-fixed point read off the diagonal band matrix are kept in the tests as
-oracles.
+matrices, built once per parameter set in padded blocks, to the chunk stepper
+of `continuous`, whose core skips zero bands, and checks every state of each
+chunk it gets back.  `run_sequence` runs on it.  The dense Kraus forms of the
+maps, the band matrices built row by row and the fixed point read off the
+diagonal band matrix are kept in the tests as oracles.
 """
 from __future__ import annotations
 
@@ -37,9 +36,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln
 
-from .continuous import _propagate
+from .continuous import _chunks
 from .errors import NumericalInvariantError, check_number, check_times
-from .fock import _CHUNK_BYTES, _TAIL_TOL, _TRACE_TOL, DensityMatrix, FockDim, check_top_level
+from .fock import _CHUNK_BYTES, _TAIL_TOL, _TRACE_TOL, DensityMatrix, FockDim
 
 _SPECTRAL_TOL = 1e-10
 
@@ -131,31 +130,26 @@ class StroboRun(NamedTuple):
 def evolve_strobo(rho0: DensityMatrix, params: StroboParams, steps: int) -> StroboRun:
     """Apply `steps` full periods (feedback, then dissipation) to rho0.
 
-    The periods run through the band core of `continuous` on the step matrices
-    of `_step_matrices`, built once for the run, in chunks of about 1 MiB of
-    states and at least 16 periods, from rho0 without its odd bands, which
-    the first parity measurement removes.  Every state of a chunk is checked for
-    Hermiticity, trace and positivity (NumericalInvariantError), and when the
-    feedback atom acts (eta > 0) on an even top level, population above 1e-10
-    there raises TruncationError.  Only the populations of each chunk are kept.
+    The periods run through the chunk stepper of `continuous` on the step
+    matrices of `_step_matrices`, built once for the run, from rho0 without
+    its odd bands, which the first parity measurement removes.  Every state is
+    checked for Hermiticity, trace and positivity (NumericalInvariantError);
+    when the feedback atom acts (eta > 0) on an even top level, population
+    above 1e-10 there raises TruncationError first.  Only populations are kept.
     """
     check_number("steps", steps, 0, integer=True)
-    dim = rho0.dim
-    mats = _step_matrices(params, dim)
-    populations = np.empty((steps + 1, dim.size))
+    mats = _step_matrices(params, rho0.dim)
+    populations = np.empty((steps + 1, rho0.dim.size))
     populations[0] = rho0.populations()
     mat = rho0.elements.copy()  # the band core is never asked for an odd band's step matrix
     mat[::2, 1::2] = mat[1::2, ::2] = 0.0
-    state = rho0
-    chunk = max(16, _CHUNK_BYTES // mat.nbytes)  # periods per pass: about 1 MiB of states
-    for start in range(0, steps, chunk):
-        stack = _propagate(mat, lambda p, _: mats[p], min(chunk, steps - start))
-        if params.eta > 0 and dim.n_max % 2 == 0:  # the states this chunk stepped
-            check_top_level(stack[:-1], _TAIL_TOL, "would be pushed out of the basis by the feedback atom")
-        state = DensityMatrix.from_map(stack[1:], dim)
-        # a copy: a view of the diagonal would keep the whole chunk alive
-        populations[start + 1 : start + len(stack)] = stack[1:].diagonal(0, 1, 2).real
-        mat = stack[-1]
+    state, done = rho0, 1
+    lifts = params.eta > 0 and rho0.dim.n_max % 2 == 0  # the feedback atom acts on an even top level
+    top = (_TAIL_TOL, "would be pushed out of the basis by the feedback atom") if lifts else None
+    for stack in _chunks(mat, lambda p, _: mats[p], steps, top):
+        state = DensityMatrix.from_map(stack, rho0.dim)
+        populations[done : done + len(stack)] = stack.diagonal(0, 1, 2).real
+        done += len(stack)
     return StroboRun(state, populations)
 
 

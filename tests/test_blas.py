@@ -95,7 +95,7 @@ def test_validation_keeps_the_callers_threads(rho0, monkeypatch):
     monkeypatch.setattr(continuous, "check_density", spy)
     with _blas.threads(2):
         continuous.fidelity_curve(rho0, ContinuousParams(1.0, 0.5), np.linspace(0.0, 1.0, 6))
-    assert seen == [[2] * len(_blas.pools())]
+    assert seen == [[2] * len(_blas.pools())] * 2  # the state at t = 0, then the chunk of stepped states
 
 
 def test_no_pool_is_a_no_op(monkeypatch):

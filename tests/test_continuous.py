@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import cavityfeedback.continuous as continuous
-import cavityfeedback.strobo as strobo
 from cavityfeedback import (
     CatParity,
     ContinuousParams,
@@ -32,7 +31,7 @@ from cavityfeedback import (
     standard_phase_diffusion,
 )
 from cavityfeedback.continuous import _band_propagator, _propagate, _uniform_steps
-from cavityfeedback.fock import _band_period
+from cavityfeedback.fock import _STATE_BYTES, _band_period, check_density
 from conftest import mean_amplitude, min_eigenvalue, random_density
 
 
@@ -282,8 +281,7 @@ def test_non_finite_argument_is_a_value_error(call, monkeypatch):
     def no_map(*_):
         raise AssertionError("a map ran on a non-finite argument")
 
-    for module in (continuous, strobo):
-        monkeypatch.setattr(module, "_propagate", no_map)
+    monkeypatch.setattr(continuous, "_propagate", no_map)  # the band core of both maps
     monkeypatch.setattr(DensityMatrix, "from_map", no_map)
     with pytest.raises(ValueError):
         call()
@@ -492,6 +490,74 @@ class TestBandCore:
         ):
             with pytest.raises(NumericalInvariantError, match="trace"):
                 run()
+
+
+def chunk_state(kind, dim):
+    if kind == "cat":
+        return DensityMatrix.from_state(cat_state(np.sqrt(5.0), CatParity.ODD, dim))
+    return DensityMatrix.from_state(fock_superposition([(1, 0.6), (3, 0.8j)], dim))
+
+
+class TestChunkStepper:
+    """`_chunks` is the one chunk policy of both maps; no value depends on the chunk."""
+
+    @pytest.mark.parametrize("kind, steps", [("cat", 100), ("complex-fock", 100), ("cat", 0)])
+    def test_the_budget_leaves_every_bit_of_the_curve(self, kind, steps, dim31, monkeypatch):
+        rho0 = chunk_state(kind, dim31)
+        times = np.linspace(0.0, 0.02 * steps, steps + 1)
+        one_pass = grid_stack(rho0, 0.5, times)  # every state at once, as the curve was taken before
+        overlap = np.array([np.vdot(rho0.elements, mat).real for mat in one_pass])
+        margins = check_density(one_pass, NumericalInvariantError)
+        for budget in (_STATE_BYTES, 0):  # one chunk, and chunks of 16 states
+            monkeypatch.setattr(continuous, "_STATE_BYTES", budget)
+            curve = fidelity_curve(rho0, ContinuousParams(1.0, 0.5), times)
+            assert curve.fidelity.tobytes() == overlap.tobytes()
+            assert curve.margins == margins and curve.margins.min_eigenvalue is None
+
+    @pytest.mark.parametrize(
+        "n_max, budget, chunk", [(31, _STATE_BYTES, 512), (127, _STATE_BYTES, 32), (31, 0, 16)]
+    )
+    def test_no_stack_holds_more_than_the_budget_or_16_states(self, n_max, budget, chunk, monkeypatch):
+        rho0 = chunk_state("cat", FockDim(n_max))
+        sizes = []
+
+        def spy(stack, error=ValueError):
+            assert stack.nbytes <= max(budget, 16 * rho0.elements.nbytes)
+            sizes.append(len(stack))
+            return check_density(stack, error)
+
+        monkeypatch.setattr(continuous, "_STATE_BYTES", budget)
+        monkeypatch.setattr(continuous, "check_density", spy)
+        fidelity_curve(rho0, ContinuousParams(1.0, 0.5), np.linspace(0.0, 1.0, 2 * chunk + 6))
+        assert sizes == [1, chunk, chunk, 5]  # t = 0, then the stepped states
+
+    def test_check_density_sees_every_state_once(self, dim31, monkeypatch):
+        rho0 = chunk_state("complex-fock", dim31)
+        times = np.linspace(0.0, 1.0, 51)
+        seen = []
+
+        def spy(stack, error=ValueError):
+            seen.extend(stack)
+            return check_density(stack, error)
+
+        monkeypatch.setattr(continuous, "_STATE_BYTES", 0)
+        monkeypatch.setattr(continuous, "check_density", spy)
+        fidelity_curve(rho0, ContinuousParams(1.0, 0.5), times)
+        assert np.array_equal(np.array(seen), grid_stack(rho0, 0.5, times))
+
+    def test_each_band_propagator_is_built_once_per_curve(self, dim31, monkeypatch):
+        rho0 = chunk_state("cat", dim31)
+        calls = []
+
+        def propagator(eta, gamma_t, p, length):
+            calls.append((p, length))
+            return _band_propagator(eta, gamma_t, p, length)
+
+        monkeypatch.setattr(continuous, "_STATE_BYTES", 0)  # seven chunks
+        monkeypatch.setattr(continuous, "_band_propagator", propagator)
+        for _ in range(2):
+            fidelity_curve(rho0, ContinuousParams(1.0, 0.5), np.linspace(0.0, 1.0, 101))
+        assert calls == 2 * [(p, 32 - p) for p in range(0, 32, 2)]  # the odd cat's nonzero bands
 
 
 class TestFidelityCurveProperties:

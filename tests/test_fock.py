@@ -570,11 +570,17 @@ class TestTopLevelCheck:
         assert info.traceback[-1].name == "check_top_level"
         assert re.fullmatch(r"population 1\.000e\+00 on the top Fock level \S.*; enlarge the basis", str(info.value))
 
-    def test_a_nan_population_passes(self):
-        # a NaN is left to check_density, which rejects it
+    def test_a_nan_population_hides_no_truncation(self):
+        # np.max once returned the NaN, and a chunk truncated and broken at once exited 3, not 4
         stack = np.zeros((2, 3, 3))
         stack[:, -1, -1] = [np.nan, 0.5]
-        check_top_level(stack, 1e-10, "in the test")
-        stack[0, -1, -1] = 0.0
         with pytest.raises(TruncationError, match=r"^population 5\.000e-01 on the top Fock level in the test; "):
             check_top_level(stack, 1e-10, "in the test")
+
+    def test_nan_populations_alone_pass(self):
+        # a NaN is left to check_density, which rejects it
+        stack = np.zeros((1, 3, 3))
+        stack[:, -1, -1] = [np.nan]
+        check_top_level(stack, 1e-10, "in the test")
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_density(stack)

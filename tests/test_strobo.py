@@ -1,10 +1,12 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cavityfeedback.continuous as continuous
 import cavityfeedback.fock as fock
 import cavityfeedback.strobo as strobo
 from cavityfeedback import (
@@ -27,8 +29,8 @@ from cavityfeedback import (
     run_sequence,
     trace_distance,
 )
-from cavityfeedback.fock import check_density
-from cavityfeedback.strobo import _CHUNK_BYTES, _kraus_table, _step_matrices
+from cavityfeedback.fock import _STATE_BYTES, check_density
+from cavityfeedback.strobo import _kraus_table, _step_matrices
 from conftest import min_eigenvalue, random_density, random_parity_density, stationary_state
 
 # Dense elementwise forms of the stroboscopic maps.  The library runs every
@@ -619,9 +621,10 @@ class TestStroboProperties:
         assert min(seq.p_e.min(), seq.p_g.min()) >= -1e-12
 
 
-_CHUNK = max(16, _CHUNK_BYTES // (16 * 32 * 32))  # periods per chunk at dim 31: about 1 MiB of states
-# 17 is one period past the shortest chunk, 16 periods
-_STEP_COUNTS = (1, 17, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+_CHUNK = max(16, _STATE_BYTES // (16 * 32 * 32))  # periods per chunk at dim 31: 8 MiB of states
+# around the shortest chunk, 16 periods, which a state budget of 0 gives; the
+# dense oracle is too slow for the real chunk, which is checked against it bit for bit
+_STEP_COUNTS = (1, 15, 16, 17, 3 * 16 + 5)
 
 
 @st.composite
@@ -654,13 +657,14 @@ class TestEvolveStrobo:
     @given(rho=start_states(), params=params_drawn)
     def test_every_state_matches_the_dense_oracle(self, rho, params):
         oracle = dense_states(rho, params, max(_STEP_COUNTS))
-        for steps in _STEP_COUNTS:
-            run = evolve_strobo(rho, params, steps)
-            assert np.max(np.abs(run.state.elements - oracle[steps])) <= 1e-12
-            pops = np.real(np.diagonal(oracle[: steps + 1], axis1=1, axis2=2))
-            assert np.max(np.abs(run.populations - pops)) <= 1e-12
-            seq = run_sequence(rho, params, steps)
-            assert np.max(np.abs(seq.p_e + seq.p_g - 1.0)) <= 1e-10
+        with mock.patch.object(continuous, "_STATE_BYTES", 0):  # 16 periods per chunk
+            for steps in _STEP_COUNTS:
+                run = evolve_strobo(rho, params, steps)
+                assert np.max(np.abs(run.state.elements - oracle[steps])) <= 1e-12
+                pops = np.real(np.diagonal(oracle[: steps + 1], axis1=1, axis2=2))
+                assert np.max(np.abs(run.populations - pops)) <= 1e-12
+                seq = run_sequence(rho, params, steps)
+                assert np.max(np.abs(seq.p_e + seq.p_g - 1.0)) <= 1e-10
 
     def test_check_density_sees_every_state_once(self, dim31, monkeypatch):
         rho = odd_cat(3.3, dim31)
@@ -682,7 +686,7 @@ class TestEvolveStrobo:
     def test_fault_in_a_later_chunk_is_caught(self, dim31, monkeypatch):
         rho = odd_cat(3.3, dim31)
         params = StroboParams(0.6, 0.9, 0.05)
-        real_propagate = strobo._propagate
+        real_propagate = continuous._propagate
         calls = []
 
         def propagate(mat, step_matrix, steps):
@@ -692,20 +696,37 @@ class TestEvolveStrobo:
                 stack[2] *= 1.001
             return stack
 
-        monkeypatch.setattr(strobo, "_propagate", propagate)
+        monkeypatch.setattr(continuous, "_propagate", propagate)
         with pytest.raises(NumericalInvariantError, match="trace"):
             evolve_strobo(rho, params, 3 * _CHUNK + 5)
         assert calls == [_CHUNK] * 3
 
-    @pytest.mark.parametrize("n_max,chunk", [(31, 64), (63, 16), (127, 16)])
-    def test_no_chunk_holds_more_than_a_mebibyte_or_16_periods(self, n_max, chunk, monkeypatch):
+    @pytest.mark.parametrize("fault", ["trace", "nan"])
+    def test_a_truncation_is_raised_before_a_density_fault_of_its_chunk(self, fault, monkeypatch):
+        # a NaN top population once hid the truncation, and the chunk failed its density check (exit 3)
+        rho = number_state(14, FockDim(14))  # an even top level, filled
+        real_propagate = continuous._propagate
+
+        def propagate(mat, step_matrix, steps):
+            stack = real_propagate(mat, step_matrix, steps)
+            stack[1] = np.nan if fault == "nan" else 1.001 * stack[1]
+            return stack
+
+        monkeypatch.setattr(continuous, "_propagate", propagate)
+        with pytest.raises(TruncationError, match="pushed out of the basis"):
+            evolve_strobo(rho, StroboParams(1.0, 0.5, 0.02), 3)
+
+    @pytest.mark.parametrize(
+        "n_max,budget,chunk", [(31, _STATE_BYTES, 512), (63, _STATE_BYTES, 128), (127, _STATE_BYTES, 32), (31, 0, 16)]
+    )
+    def test_no_chunk_holds_more_than_the_state_budget_or_16_periods(self, n_max, budget, chunk, monkeypatch):
         rho = odd_cat(3.3, FockDim(n_max))
-        real_propagate = strobo._propagate
+        real_propagate = continuous._propagate
         periods = []
 
         def propagate(mat, step_matrix, steps):
             stack = real_propagate(mat, step_matrix, steps)
-            assert stack[1:].nbytes <= max(2**20, 16 * mat.nbytes)
+            assert stack[1:].nbytes <= max(budget, 16 * mat.nbytes)
             periods.append(steps)
             return stack
 
@@ -717,10 +738,11 @@ class TestEvolveStrobo:
             blocks.append(block.nbytes)
             return block
 
-        monkeypatch.setattr(strobo, "_propagate", propagate)
+        monkeypatch.setattr(continuous, "_STATE_BYTES", budget)
+        monkeypatch.setattr(continuous, "_propagate", propagate)
         monkeypatch.setattr(strobo, "_padded_bands", padded_bands)
-        evolve_strobo(rho, StroboParams(0.6, 0.9, 0.05), 70)
-        assert periods == [chunk] * (70 // chunk) + [70 % chunk]
+        evolve_strobo(rho, StroboParams(0.6, 0.9, 0.05), 2 * chunk + 5)
+        assert periods == [chunk, chunk, 5]
         assert max(blocks) <= 2**20  # the band matrices too are built about 1 MiB at a time
 
     @pytest.mark.parametrize("odd_bands", [False, True])
@@ -730,16 +752,16 @@ class TestEvolveStrobo:
         rho = DensityMatrix.from_state(state)
         params = StroboParams(0.6, 0.9, 0.05)
         runs = [evolve_strobo(rho, params, 40)]
-        monkeypatch.setattr(strobo, "_CHUNK_BYTES", 0)  # 16 periods per chunk
+        monkeypatch.setattr(continuous, "_STATE_BYTES", 0)  # 16 periods per chunk
         runs.append(evolve_strobo(rho, params, 40))
         assert runs[0].state.elements.tobytes() == runs[1].state.elements.tobytes()
         assert runs[0].populations.tobytes() == runs[1].populations.tobytes()
 
-    @pytest.mark.parametrize("chunk_bytes", [_CHUNK_BYTES, 0])
+    @pytest.mark.parametrize("state_bytes", [_STATE_BYTES, 0])
     @pytest.mark.parametrize("steps", [1, 10, 16, 17, 40])
-    def test_odd_bands_are_positive_zeros(self, steps, chunk_bytes, dim31, monkeypatch):
+    def test_odd_bands_are_positive_zeros(self, steps, state_bytes, dim31, monkeypatch):
         # the first parity measurement removes the odd bands, whatever the signs of their entries
-        monkeypatch.setattr(strobo, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(continuous, "_STATE_BYTES", state_bytes)
         rho = DensityMatrix.from_state(coherent_state(1.5 + 0.5j, dim31))
         assert rho.elements[::2, 1::2].real.min() < 0 and rho.elements[::2, 1::2].imag.min() < 0
         final = evolve_strobo(rho, StroboParams(0.6, 0.9, 0.05), steps).state.elements
