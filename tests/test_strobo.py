@@ -622,9 +622,11 @@ class TestStroboProperties:
 
 
 _CHUNK = max(16, _STATE_BYTES // (16 * 32 * 32))  # periods per chunk at dim 31: 8 MiB of states
-# around the shortest chunk, 16 periods, which a state budget of 0 gives; the
-# dense oracle is too slow for the real chunk, which is checked against it bit for bit
-_STEP_COUNTS = (1, 15, 16, 17, 3 * 16 + 5)
+# at a state budget of 0 a chunk is the shortest one, 16 periods: these counts sit on
+# both sides of one, four and twelve chunk boundaries over as many periods as the
+# 64-period chunks of a 1 MiB budget took; the real chunk is held bit for bit to
+# budget 0 by test_chunk_length_leaves_every_bit
+_STEP_COUNTS = (1, 15, 16, 17, 63, 64, 65, 3 * 64 + 5)
 
 
 @st.composite
