@@ -1,6 +1,7 @@
 """The byte-identity tool: its run list, its file names and its reports of what moved."""
 import importlib.util
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,18 @@ def test_the_run_list_covers_the_defaults_the_efficiencies_and_every_pool_op():
     ops = sum(len(digests.workloads.make_pool(w, seed)) for w in pools for seed in digests.SEEDS)
     assert sum(name.startswith("pool/") for name in runs) == ops == 64
     assert len({digests._file(Path(), name, ".csv") for name in runs}) == len(runs)
+
+
+def test_the_manifest_pins_every_exit_class_without_a_temporary_path():
+    # exit 3 is raised both inside the library and at the sidecar's own check; a message that named
+    # the run's temporary directory or file would move with every run
+    runs = json.loads(digests.MANIFEST.read_text(encoding="utf-8"))["runs"]
+    assert {0, 2, 3, 4} <= {row["exit"] for row in runs.values()}
+    failures = {row["stderr"].partition(": ")[0] for row in runs.values() if row["exit"] == 3}
+    assert failures == {"numerical failure", "invariant check failed"}
+    for name, row in runs.items():
+        err = row.get("stderr", "")
+        assert tempfile.gettempdir() not in err and name.replace("/", "_") not in err, name
 
 
 def test_names_that_differ_after_a_dot_keep_their_own_files(tmp_path):
@@ -121,6 +134,8 @@ def _table_keys(table) -> set:
 def _keys_set(table, flags, config, flag_keys) -> set:
     """The keys of `table` one run sets by its config or its flags, named as `_table_keys` names them."""
     config = config or {}
+    if "command" in config:  # a previous run's sidecar, which carries the config it ran with
+        config = config["config"]
     keys = set()
 
     def kind_of(key):

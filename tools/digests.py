@@ -13,8 +13,9 @@ either map through several chunks), Wigner functions after
 stroboscopic evolution and of a complex Fock superposition, runs that
 between them set every config key and pass every flag of every command
 (adiabatic at several pulse areas and from every kind of initial state among
-them), and every op of the four benchmark pools at seeds 1, 2, 3 and 9001,
-drawn by the generators of perfbench/workloads.py.
+them), runs that end in each exit class and reach the branches no other
+run reaches, and every op of the four benchmark pools at seeds 1, 2, 3 and
+9001, drawn by the generators of perfbench/workloads.py.
 
 --check names each file that moved.  To say what moved, it runs the moved
 runs again on a reference tree, `git archive` of the commit that last wrote
@@ -113,6 +114,25 @@ def _option_runs(fock: dict) -> dict:
     return runs
 
 
+def _branch_runs() -> dict:
+    """Runs that end in each exit class, and reach the branches no other run of the list reaches."""
+    top_filled = {"state": {"kind": "fock", "terms": [[14, 1, 0]]}, "dim": 14,
+                  "evolution": {"kind": "strobo", "eta": 1.0, "steps": 3}}
+    return {
+        # the feedback atom lifts an even top level, so only an even n_max makes the stepper check the
+        # top level of strobo states: passed at dim 30, failed (exit 4) by a filled top level
+        "branches/strobo-pe-dim30": ["strobo-pe", ["--dim", "30"], None],
+        "exits/wigner-strobo-top-filled": ["wigner", [], top_filled],
+        "branches/fidelity-cat-gamma-t0": ["fidelity-cat", ["--gamma-t", "0"], None],  # a one-point time grid
+        "branches/qubit-protect-sidecar": ["qubit-protect", [],  # a previous run's sidecar as --config
+                                           {"command": "qubit-protect", "config": {"eta": 0.3, "steps": 10}}],
+        # exit 3 at the sidecar's own check, as against a numerical failure inside the library
+        "exits/wigner-grid-points-23": ["wigner", ["--grid-points", "23"], None],
+        "exits/fidelity-cat-dim4": ["fidelity-cat", ["--alpha2", "1", "--dim", "4"], None],
+        "exits/fidelity-cat-alpha2-1e-20": ["fidelity-cat", ["--alpha2", "1e-20"], None],
+    }
+
+
 def run_list() -> dict:
     """Every run of the manifest, {name: [command, flags, config or None]}."""
     runs = {f"default/{c}": [c, [], None]
@@ -135,6 +155,7 @@ def run_list() -> dict:
     complex_fock = {"kind": "fock", "terms": [[1, 0.6, 0], [3, 0, 0.8]]}
     runs["wigner/fock-complex"] = ["wigner", [], {"state": complex_fock}]
     runs.update(_option_runs(complex_fock))
+    runs.update(_branch_runs())
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             for i, op in enumerate(workloads.make_pool(workload, seed)):
