@@ -8,11 +8,12 @@ validator, `check_density`, which checks a whole stack of matrices in one pass.
 `DensityMatrix` runs it on its input, where a violation is a ValueError.  Every
 map hands its output to one checked constructor, `DensityMatrix.from_map`,
 where a violation is a fault of the map and a NumericalInvariantError.  The
-stack is split into its residue blocks once, and Hermiticity, the positivity
-certificate (a Cholesky factorisation) and, only when the certificate fails,
-the spectrum are all taken on those blocks, so that a violation is still
-reported with its exact smallest eigenvalue.  The truncated basis has one
-check too: `check_top_level` is the top-level population check of every map.
+stack is split once into its residue blocks in runs of whole matrices, and
+Hermiticity, the positivity certificate (a Cholesky factorisation) and, only
+when the certificate fails, the spectrum are all taken on those runs, so that a
+violation is still reported with its exact smallest eigenvalue.  The truncated
+basis has one check too: `check_top_level` is the top-level population check
+of every map.
 """
 from __future__ import annotations
 
@@ -101,14 +102,12 @@ def _band_period(stack: np.ndarray) -> int:
     Such matrices are block diagonal over the residue classes n mod g.  A
     stack that is diagonal throughout gives its dimension.
     """
-    if stack.diagonal(1, 1, 2).any() or stack.diagonal(-1, 1, 2).any():
-        return 1  # the common dense case, without scanning every element
     rows, cols = np.nonzero(np.any(stack, axis=0))
     return int(np.gcd.reduce(np.abs(rows - cols), initial=0)) or stack.shape[-1]
 
 
 def _residue_blocks(stack: np.ndarray) -> list:
-    """Views of the residue blocks of a (T, n, n) stack, each (T, m, m).
+    """Views of the residue blocks of a (T, n, n) stack in runs, each (k, m, m), k whole matrices of one block.
 
     For a stack of several matrices the blocks are the residue classes of the
     band period (every cat state has period 2): every element outside them is
@@ -119,11 +118,16 @@ def _residue_blocks(stack: np.ndarray) -> list:
     against 60 us for (|2> + sqrt(2)|4>)/sqrt(3) at 64; coherent states were equal
     within 3 us (in-process, best of 5 x 2,000, two passes, 2-vCPU AVX-512 host).
     A stack whose imaginary part is exactly zero, as for any state with real
-    weights, gives real blocks, which go to LAPACK's real routines.
+    weights, gives real blocks, which go to LAPACK's real routines.  A run is
+    about a quarter MiB of the largest block, at least one matrix: whole-block
+    temporaries of a dense complex curve (81 states of 64 levels) fell out of
+    cache and took twice as long.
     """
     stack = stack if stack.imag.any() else stack.real
     g = _band_period(stack) if len(stack) > 1 else 1
-    return [stack[:, r::g, r::g] for r in range(g)]
+    m = -(-stack.shape[-1] // g)
+    k = max(1, 2**18 // (stack.itemsize * m * m))
+    return [stack[i:i + k, r::g, r::g] for r in range(g) for i in range(0, len(stack), k)]
 
 
 def _hermitian_part(b: np.ndarray) -> np.ndarray:
@@ -132,36 +136,28 @@ def _hermitian_part(b: np.ndarray) -> np.ndarray:
     return h
 
 
-def _hermiticity(blocks: list) -> float:
-    """Largest |b - b^dagger| element of the blocks; np.maximum, unlike max, passes a NaN on to it."""
-    margins = []
-    for b in blocks:
-        # runs of whole matrices of about a quarter MiB: whole-block temporaries of a dense
-        # complex curve (81 states of 64 levels) fell out of cache and took twice as long
-        k = max(1, (1 << 18) // (b.itemsize * b.shape[-1] ** 2))
-        margins += (abs(b[i:i + k] - b[i:i + k].conj().swapaxes(1, 2)).max() for i in range(0, len(b), k))
-    return float(reduce(np.maximum, margins))
+def _lowest_eigenvalue(runs: list) -> float:
+    return float(reduce(np.minimum, (np.linalg.eigvalsh(_hermitian_part(b)).min() for b in runs)))
 
 
-def _lowest_eigenvalue(blocks: list) -> float:
-    return float(reduce(np.minimum, (np.linalg.eigvalsh(_hermitian_part(b)).min() for b in blocks)))
+def _certified(runs: list) -> bool:
+    """Whether a Cholesky factorisation proves every Hermitian-part eigenvalue of the runs >= -1e-10.
 
-
-def _certified(blocks: list) -> bool:
-    """Whether a Cholesky factorisation proves every Hermitian-part eigenvalue of the blocks >= -1e-10.
-
-    Each block's Hermitian part H is shifted to H' = H + (1e-10 - delta) I and
+    Each run's Hermitian parts H are shifted to H' = H + (1e-10 - delta) I and
     factorised.  A factorisation R that completes satisfies R*R = H' + E with
     |E| <= gamma_{m+1} |R*| |R| for blocks of m levels (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., Theorem 10.3), so
     ||E||_2 <= gamma_{m+1} tr(R*R) <= gamma_{m+1} sum|h'_ii| / (1 - gamma_{m+1}),
     and every eigenvalue of H' is at least -||E||_2.  delta = 2 (m + 2) u
-    max(1, sum|h_ii|), about 3e-14 for a density matrix of 128 levels, bounds
-    ||E||_2 with room for complex arithmetic and the rounding of the shift, so
-    a pass proves the floor outright, not only up to round-off.  A failure
-    proves nothing: the caller then takes the spectrum.
+    max(1, sum|h_ii|) over the matrices of the run, about 3e-14 for a density
+    matrix of 128 levels, bounds ||E||_2 of each of them with room for complex
+    arithmetic and the rounding of the shift, so a pass proves the floor
+    outright, not only up to round-off.  A run's delta is never above its whole
+    block's, so only a matrix within about 1e-14 of the floor can pass where a
+    block-wide delta failed it.  A failure proves nothing: the caller then
+    takes the spectrum.
     """
-    for b in blocks:
+    for b in runs:
         h = _hermitian_part(b)
         m = h.shape[-1]
         weight = float(abs(h.diagonal(axis1=1, axis2=2)).sum(axis=1).max())
@@ -180,33 +176,34 @@ def check_density(stack, error=ValueError) -> DensityMargins:
 
     Tolerances: Hermiticity 1e-12, trace 1e-10, smallest eigenvalue >= -1e-10.
     Input validation keeps ValueError; a map checking its own output passes
-    NumericalInvariantError.  The stack is split into its residue blocks once
-    (`_residue_blocks`), and Hermiticity, the certificate and the spectrum are
-    all taken on those blocks; every element outside them is exactly zero, so
-    the Hermiticity margin is that of the whole matrices.  Hermiticity and
-    trace are checked before positivity, so a NaN or inf element raises
-    `error` as a Hermiticity failure and never reaches LAPACK.
+    NumericalInvariantError.  The stack is split once into its residue blocks
+    in runs (`_residue_blocks`), and Hermiticity, the certificate and the
+    spectrum are all taken on those runs; every element outside the blocks is
+    exactly zero, so the Hermiticity margin is that of the whole matrices.
+    Hermiticity and trace are checked before positivity, so a NaN or inf
+    element raises `error` as a Hermiticity failure and never reaches LAPACK.
 
-    Positivity is certified by one batched Cholesky factorisation per block
+    Positivity is certified by one batched Cholesky factorisation per run
     (`_certified`), and the margin then reports no smallest eigenvalue (None):
     none was computed.  Only where the certificate fails is the spectrum taken,
     so a violation raises with its exact smallest eigenvalue, and a stack
     within round-off of the floor that still passes reports that eigenvalue.
     """
     stack = np.asarray(stack)
-    blocks = _residue_blocks(stack)
+    runs = _residue_blocks(stack)
     # inf - inf is a NaN and fails the check, so numpy need not warn about it
     with np.errstate(invalid="ignore"):
-        herm = _hermiticity(blocks)
+        # np.maximum, unlike max, passes a NaN on to the margin
+        herm = float(reduce(np.maximum, (abs(b - b.conj().swapaxes(1, 2)).max() for b in runs)))
         drift = float(abs(stack.trace(axis1=1, axis2=2) - 1.0).max())
     # negated comparisons, so that a NaN margin fails instead of passing
     if not herm <= _HERM_TOL:
         raise error(f"matrix is not Hermitian: max deviation {herm:.3e}")
     if not drift <= _TRACE_TOL:
         raise error(f"trace deviates from 1 by {drift:.3e}, beyond {_TRACE_TOL}")
-    if _certified(blocks):
+    if _certified(runs):
         return DensityMargins(herm, drift, None)
-    lo = _lowest_eigenvalue(blocks)
+    lo = _lowest_eigenvalue(runs)
     if not lo >= _EIG_FLOOR:
         raise error(f"smallest eigenvalue {lo:.3e} below positivity floor {_EIG_FLOOR}")
     return DensityMargins(herm, drift, lo)

@@ -28,7 +28,8 @@ from cavityfeedback import (
     standard_pulses,
     trace_distance,
 )
-from cavityfeedback.fock import _EIG_FLOOR, _band_period, check_density, check_top_level
+from cavityfeedback import continuous
+from cavityfeedback.fock import _EIG_FLOOR, _band_period, _residue_blocks, check_density, check_top_level
 from conftest import mean_amplitude, min_eigenvalue, random_density
 
 _BAD_MATRICES = {
@@ -318,6 +319,11 @@ class TestDensityMargins:
         rho = DensityMatrix.from_state(fock_superposition(terms, dim63))
         assert _band_period(rho.elements[None]) == period
 
+    def test_a_dense_stack_of_several_matrices_is_one_block(self, dim63):
+        stack = np.array([DensityMatrix.from_state(coherent_state(a, dim63)).elements for a in (1.0, 1.5j, 2.0)])
+        assert _band_period(stack) == 1
+        assert [run.shape for run in _residue_blocks(stack)] == [(3, 64, 64)]
+
     @pytest.mark.parametrize("parity", [CatParity.EVEN, CatParity.ODD])
     def test_cat_blocks_give_the_full_spectrum(self, parity, dim63):
         rho = DensityMatrix.from_state(cat_state(np.sqrt(5.0), parity, dim63))
@@ -546,6 +552,55 @@ class TestHermiticityMargin:
         DensityMatrix.from_state(coherent_state(2.0, FockDim(260)))
         rho128 = DensityMatrix.from_state(coherent_state(np.sqrt(5.0) * np.exp(0.3j), FockDim(128)))
         assert len(fidelity_curve(rho128, ContinuousParams(1.0, 0.5), np.linspace(0.0, 2.0, 81)).fidelity) == 81
+
+
+class TestOneWalk:
+    """Hermiticity, the certificate and the spectrum walk one list of runs of about a quarter MiB."""
+
+    def test_no_solver_call_gets_more_than_a_quarter_mib(self, dim63, monkeypatch):
+        # the residue blocks of the default odd-cat curve's chunk, 80 real states of 32 levels, are 655 KB whole
+        rho = DensityMatrix.from_state(cat_state(np.sqrt(5.0), CatParity.ODD, dim63))
+        stacks, seen = [], []
+
+        def spy(solver):
+            return lambda a: seen.append((solver.__name__, len(a), a.nbytes, a[0].nbytes)) or solver(a)
+
+        def checked(stack, error=ValueError):
+            stacks.append(stack)
+            return check_density(stack, error)
+
+        monkeypatch.setattr(continuous, "check_density", checked)
+        for name in ("cholesky", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+        fidelity_curve(rho, ContinuousParams(1.0, 0.5), np.linspace(0.0, 2.0, 81))
+        assert [len(s) for s in stacks] == [1, 80]  # the initial state, then one chunk
+        assert sum(count for _, count, _, _ in seen) == 1 + 2 * 80  # every state of both residue blocks
+        assert all(nbytes <= max(matrix, 2**18) for _, _, nbytes, matrix in seen)
+        # pull every eigenvalue of the last state but its own down to -1e-9, trace kept
+        eps = 1e-9
+        broken = stacks[-1].copy()
+        broken[-1] = (1.0 + 64 * eps) * broken[-1] - eps * np.eye(64)
+        seen.clear()
+        with pytest.raises(ValueError, match="smallest eigenvalue -1.000e-09"):
+            check_density(broken)
+        assert "eigvalsh" in {name for name, _, _, _ in seen}
+        assert all(nbytes <= max(matrix, 2**18) for _, _, nbytes, matrix in seen)
+
+    @pytest.mark.parametrize("complex_weights", [False, True])
+    def test_a_fault_in_the_last_run_raises_the_exact_eigenvalue(self, complex_weights):
+        stack = banded_stack(40, 1, complex_weights, 6, 48)
+        spectrum = np.full(48, (1.0 + 1e-9) / 47)
+        spectrum[0] = -1e-9
+        stack[-1] = rotated(spectrum, 8, complex_weights)
+        if not complex_weights:
+            stack = stack.real
+        runs = _residue_blocks(stack)
+        assert len(runs) > 1 and len(runs[-1]) < len(stack) and np.shares_memory(runs[-1], stack[-1])
+        exact = min(np.linalg.eigvalsh(m).min() for m in (stack + stack.conj().swapaxes(1, 2)) / 2.0)
+        with pytest.raises(ValueError) as info:
+            check_density(stack)
+        assert str(info.value) == f"smallest eigenvalue {exact:.3e} below positivity floor {_EIG_FLOOR}"
+        assert min_eigenvalue(stack) == exact
 
 
 def _top_filled(level: int) -> DensityMatrix:
