@@ -130,6 +130,19 @@ def _branch_runs() -> dict:
         "exits/wigner-grid-points-23": ["wigner", ["--grid-points", "23"], None],
         "exits/fidelity-cat-dim4": ["fidelity-cat", ["--alpha2", "1", "--dim", "4"], None],
         "exits/fidelity-cat-alpha2-1e-20": ["fidelity-cat", ["--alpha2", "1e-20"], None],
+        # exit 2 at each kind of config check: a flag's text, a range, a shape and a key against another
+        "exits/fidelity-cat-steps-1.5": ["fidelity-cat", ["--steps", "1.5"], None],
+        "exits/fidelity-cat-eta-1.5": ["fidelity-cat", ["--eta", "1.5"], None],
+        "exits/fidelity-cat-alpha2-list": ["fidelity-cat", ["--alpha2", "1,2"], None],
+        "exits/fidelity-cat-parity-odd2": ["fidelity-cat", [], {"parity": "odd2"}],
+        "exits/fidelity-cat-eta-empty": ["fidelity-cat", [], {"eta": []}],
+        "exits/fidelity-fock-n-equals-m": ["fidelity-fock", [], {"n": 4, "m": 4}],
+        "exits/fidelity-fock-dim3": ["fidelity-fock", ["--dim", "3"], None],
+        "exits/qubit-protect-n-equals-m": ["qubit-protect", [], {"n": 3, "m": 3}],
+        "exits/strobo-pe-gamma-t-2001": ["strobo-pe", ["--gamma-t", "2001"], None],
+        "exits/strobo-pe-sets-empty": ["strobo-pe", [], {"sets": []}],
+        "exits/wigner-state-squeezed": ["wigner", [], {"state": {"kind": "squeezed"}}],
+        "exits/wigner-fock-term-short": ["wigner", [], {"state": {"kind": "fock", "terms": [[1, 1]]}}],
     }
 
 
