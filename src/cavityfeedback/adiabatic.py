@@ -109,9 +109,8 @@ def _step_polynomials(pulses: PulsePair, t: np.ndarray, h: np.ndarray) -> np.nda
     scaled state u = (y0, y1, y2 / sqrt(s)); an entry of h equal to 0 gives
     the identity step.
     """
-    g_a, om_a = pulses.values(t)
-    g_b, om_b = pulses.values(t + h / 2.0)
-    g_c, om_c = pulses.values(t + h)
+    nodes = np.array([0.0, 0.5, 1.0]).reshape((3,) + (1,) * t.ndim)  # h * 0.5 is h / 2.0 exactly
+    (g_a, g_b, g_c), (om_a, om_b, om_c) = pulses.values(t + h * nodes)
     y = np.zeros((3, 3, 3) + t.shape)
     y[0, [0, 1, 2], [0, 1, 2]] = 1.0
     k1 = _deriv(y, g_a, om_a)

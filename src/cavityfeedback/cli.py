@@ -209,9 +209,8 @@ def cmd_fidelity_cat(cfg):
     if 0.0 in curves:
         dev = np.max(np.abs(curves[0.0].fidelity - cat_fidelity_analytic(alpha2, parity, 1.0, times)))
         checks.append(_check("no_feedback_column_vs_closed_form", dev, 1e-6))
-    header = ["gamma_t"] + [f"F_eta={eta:g}" for eta in etas]
-    rows = np.column_stack([times] + [curves[eta].fidelity for eta in etas])
-    return header, rows, checks, {}
+    columns = [("gamma_t", times)] + [(f"F_eta={eta:g}", curves[eta].fidelity) for eta in etas]
+    return columns, checks, {}
 
 
 def cmd_fidelity_fock(cfg):
@@ -226,17 +225,16 @@ def cmd_fidelity_fock(cfg):
     beta2 = 1.0 - alpha2
     terms = [[n, np.sqrt(alpha2), 0], [m, np.sqrt(beta2), 0]]
     rho0 = _build_state({"kind": "fock", "terms": terms}, dim, "")
-    header, columns = ["gamma_t"], [times]
+    columns = [("gamma_t", times)]
     worst_dev = 0.0
     for eta in cfg["eta"]:
         params = ContinuousParams(1.0, eta)
         numeric = fidelity_curve(rho0, params, times).fidelity
         analytic = fock_fidelity_analytic(alpha2, beta2, n, m, params, times)
         worst_dev = max(worst_dev, np.max(np.abs(numeric - analytic)))
-        header += [f"F_num_eta={eta:g}", f"F_ana_eta={eta:g}"]
-        columns += [numeric, analytic]
+        columns += [(f"F_num_eta={eta:g}", numeric), (f"F_ana_eta={eta:g}", analytic)]
     checks = [_check("numeric_vs_analytic", worst_dev, 1e-6)]
-    return header, np.column_stack(columns), checks, {}
+    return columns, checks, {}
 
 
 def cmd_wigner(cfg):
@@ -269,10 +267,9 @@ def cmd_wigner(cfg):
             )
         )
         extras["fringe_visibility"] = fringe_visibility(wg)
-    header = ["x", "y", "W"]
     xg, yg = np.meshgrid(wg.axis1, wg.axis2, indexing="ij")
-    rows = np.column_stack([xg.ravel(), yg.ravel(), wg.values.ravel()])
-    return header, rows, checks, extras
+    columns = [("x", xg.ravel()), ("y", yg.ravel()), ("W", wg.values.ravel())]
+    return columns, checks, extras
 
 
 def cmd_strobo_pe(cfg):
@@ -297,24 +294,17 @@ def cmd_strobo_pe(cfg):
     prob_dev = max(np.max(np.abs(seq.p_e + seq.p_g - 1.0)) for _, _, seq in runs)
     checks.append(_check("probability_normalisation", prob_dev, 1e-10))
 
-    # the step column is stored as floats ("%.12g" writes them as integers);
-    # cells past the end of a shorter set are masked and written blank
-    n_rows = max(seq.p_e.size for _, _, seq in runs)
-    steps = np.arange(n_rows, dtype=float)
-    header = ["step"]
-    rows = np.ma.masked_all((n_rows, 1 + 2 * len(runs)))
-    rows[:, 0] = steps
+    # the step column is stored as floats ("%.12g" writes them as integers)
+    steps = np.arange(max(seq.p_e.size for _, _, seq in runs), dtype=float)
+    columns = [("step", steps)]
     for i, (_, gamma_T, seq) in enumerate(runs):
-        header += [f"gt_set{i}", f"pe_set{i}"]
-        k = seq.p_e.size
-        rows[:k, 2 * i + 1] = steps[:k] * gamma_T
-        rows[:k, 2 * i + 2] = seq.p_e
+        columns += [(f"gt_set{i}", steps[:seq.p_e.size] * gamma_T), (f"pe_set{i}", seq.p_e)]
     extras = {
         "sets": [[mu, gt] for mu, gt, _ in runs],
         "stationary_pe": stationary,
         "final_pe": [float(seq.p_e[-1]) for _, _, seq in runs],
     }
-    return header, rows, checks, extras
+    return columns, checks, extras
 
 
 def cmd_qubit_protect(cfg):
@@ -339,9 +329,7 @@ def cmd_qubit_protect(cfg):
         "threshold_eta": thresh,
         "n_opt_table": table,
     }
-    header = ["gamma_t", "f_min"]
-    rows = np.column_stack([times, curve])
-    return header, rows, checks, extras
+    return [("gamma_t", times), ("f_min", curve)], checks, extras
 
 
 def cmd_adiabatic(cfg):
@@ -362,8 +350,8 @@ def cmd_adiabatic(cfg):
         standard_pulses(max(areas), max(areas), 1.0), cfg["n_bar"], cfg["gamma"], cfg["gamma_e"]
     )
     extras = {"timescale_report": [c._asdict() for c in report]}
-    header = ["area", "transfer_fidelity", "peak_excited_population"]
-    return header, rows, checks, extras
+    names = ["area", "transfer_fidelity", "peak_excited_population"]
+    return list(zip(names, rows.T)), checks, extras
 
 
 # each command's function and the table of every config key it reads
@@ -414,29 +402,33 @@ _COMMANDS = {
 }
 
 
-def _csv_text(header, rows) -> str:
-    """CSV text of a 2-D float table, every cell "%.12g", masked cells blank.
+def _csv_text(columns) -> str:
+    """CSV text of (name, 1-D float array) columns side by side, every cell "%.12g".
 
+    A column shorter than the longest leaves its cells past its end blank.
     Each distinct bit pattern is formatted once, so -0.0 still writes "-0".
-    A non-finite unmasked cell raises NumericalInvariantError.
+    A non-finite cell raises NumericalInvariantError.
     """
-    data = np.asarray(np.ma.getdata(rows), dtype=np.float64)
-    mask = np.ma.getmaskarray(rows)
-    bad = ~np.isfinite(data) & ~mask
+    lengths = np.array([len(values) for _, values in columns])
+    blank = np.arange(lengths.max())[:, None] >= lengths
+    data = np.zeros(blank.shape)  # a blank cell holds 0 and is never written
+    for j, (_, values) in enumerate(columns):
+        data[:lengths[j], j] = values
+    bad = ~np.isfinite(data)
     if bad.any():
         raise NumericalInvariantError(f"non-finite value {data[bad][0]!r} in output row")
     bits, at = np.unique(data.ravel().view(np.int64), return_inverse=True)
-    at[mask.ravel()] = len(bits)  # the blank cell, appended below
+    at[blank.ravel()] = len(bits)  # the blank cell, appended below
     texts = np.array([*map("%.12g".__mod__, bits.view(np.float64).tolist()), ""], dtype=object)
     cells = texts[at].tolist()
-    lines = [",".join(header)]
-    lines += map(",".join, zip(*[iter(cells)] * len(header)))
+    lines = [",".join(name for name, _ in columns)]
+    lines += map(",".join, zip(*[iter(cells)] * len(columns)))
     return "\n".join(lines) + "\n"
 
 
-def _write_outputs(out_path: Path, command: str, cfg: dict, header, rows, checks, extras):
+def _write_outputs(out_path: Path, command: str, cfg: dict, columns, checks, extras) -> None:
     """Write the CSV and its strict-JSON sidecar; a NaN, an infinity or an unwritable path writes neither."""
-    csv_text = _csv_text(header, rows)
+    csv_text = _csv_text(columns)
     sidecar = {
         "command": command,
         "config": cfg,
@@ -458,7 +450,6 @@ def _write_outputs(out_path: Path, command: str, cfg: dict, header, rows, checks
         if csv_written:  # the CSV without its sidecar
             out_path.unlink()
         raise ConfigError("out", f"cannot write the outputs: {exc}") from None
-    return sidecar
 
 
 def _load_config_file(path: str, command: str) -> dict:
@@ -559,10 +550,10 @@ def main(argv=None) -> int:
         out_path = Path(args.out)
         if out_path.suffix != ".csv":
             raise ConfigError("out", "output path must end in .csv")
-        header, rows, checks, extras = run(values)
-        sidecar = _write_outputs(out_path, args.command, cfg, header, rows, checks, extras)
-        if not sidecar["all_invariants_passed"]:
-            failed = [c["name"] for c in checks if not c["passed"]]
+        columns, checks, extras = run(values)
+        _write_outputs(out_path, args.command, cfg, columns, checks, extras)
+        failed = [c["name"] for c in checks if not c["passed"]]
+        if failed:
             print(f"invariant check failed: {', '.join(failed)}", file=sys.stderr)
             return 3
         return 0

@@ -612,24 +612,25 @@ cell_values = st.one_of(
 
 
 @st.composite
-def masked_tables(draw):
+def ragged_tables(draw):
+    """A full table and the length of each column, at least one of them the full length."""
     shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 6)))
     data = draw(hnp.arrays(np.float64, shape, elements=cell_values))
-    mask = draw(hnp.arrays(np.bool_, shape))
-    return np.ma.array(data, mask=mask)
+    lengths = draw(st.lists(st.integers(0, shape[0]), min_size=shape[1], max_size=shape[1]))
+    lengths[draw(st.integers(0, shape[1] - 1))] = shape[0]
+    return data, lengths
 
 
 class TestCsvWriter:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(table=masked_tables())
+    @given(table=ragged_tables())
     def test_bytes_match_the_per_cell_writer(self, table):
-        header = [f"c{j}" for j in range(table.shape[1])]
-        rows = [
-            ["" if m else v for v, m in zip(data_row, mask_row)]
-            for data_row, mask_row in zip(table.data.tolist(), table.mask.tolist())
-        ]
-        assert cli._csv_text(header, table) == reference_csv(header, rows)
-        assert cli._csv_text(header, table.data) == reference_csv(header, table.data.tolist())
+        data, lengths = table
+        header = [f"c{j}" for j in range(data.shape[1])]
+        columns = [(name, data[:k, j]) for j, (name, k) in enumerate(zip(header, lengths))]
+        rows = [[v if i < k else "" for v, k in zip(row, lengths)] for i, row in enumerate(data.tolist())]
+        assert cli._csv_text(columns) == reference_csv(header, rows)
+        assert cli._csv_text(list(zip(header, data.T))) == reference_csv(header, data.tolist())
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(k=st.integers(0, 10**12 - 1))
@@ -638,24 +639,37 @@ class TestCsvWriter:
 
     def test_signed_zeros_and_a_blank_share_no_cell_text(self):
         # -0.0 == 0.0 as floats, yet "%.12g" writes "-0" and "0"
-        table = np.ma.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -0.0]], mask=[[0, 0, 0], [0, 0, 1]])
-        assert cli._csv_text(["a", "b", "c"], table) == "a,b,c\n-0,0,1\n0,-0,\n"
+        columns = [("a", np.array([-0.0, 0.0])), ("b", np.array([0.0, -0.0])), ("c", np.array([1.0]))]
+        assert cli._csv_text(columns) == "a,b,c\n-0,0,1\n0,-0,\n"
 
     def test_strobo_step_column_matches_int_cells(self):
-        steps = np.arange(3.0)
-        table = np.ma.masked_all((3, 2))
-        table[:, 0] = steps
-        table[:2, 1] = [0.5, 0.25]
+        columns = [("step", np.arange(3.0)), ("pe", np.array([0.5, 0.25]))]
         expected = reference_csv(["step", "pe"], [[0, 0.5], [1, 0.25], [2, ""]])
-        assert cli._csv_text(["step", "pe"], table) == expected
+        assert cli._csv_text(columns) == expected
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell_raises(self, bad):
-        table = np.ma.array([[0.0, 1.0], [2.0, bad]])
-        with pytest.raises(NumericalInvariantError, match="non-finite"):
-            cli._csv_text(["a", "b"], table)
-        table[1, 1] = np.ma.masked  # a blank cell is never checked
-        assert cli._csv_text(["a", "b"], table) == "a,b\n0,1\n2,\n"
+        columns = [("a", np.array([0.0, 2.0])), ("b", np.array([1.0, bad]))]
+        with pytest.raises(NumericalInvariantError, match=f"non-finite value .*{bad}"):
+            cli._csv_text(columns)
+        columns[1] = ("b", np.array([1.0]))  # the cell past the end of a shorter column is blank
+        assert cli._csv_text(columns) == "a,b\n0,1\n2,\n"
+
+    @pytest.mark.parametrize(
+        "args, header",
+        [
+            (["fidelity-cat", "--eta", "0.5,0.5"], ["gamma_t", "F_eta=0.5", "F_eta=0.5"]),
+            (["fidelity-fock", "--eta", "0,0"], ["gamma_t", *["F_num_eta=0", "F_ana_eta=0"] * 2]),
+        ],
+        ids=["fidelity-cat", "fidelity-fock"],
+    )
+    def test_an_efficiency_given_twice_writes_both_columns_in_order(self, args, header, tmp_path):
+        out = tmp_path / "dup.csv"
+        assert run_cli([*args, "--steps", 4, "--dim", 31, "--out", out]) == 0
+        got, rows = read_csv(out)
+        assert got == header
+        half = (len(header) - 1) // 2
+        assert [row[1:1 + half] for row in rows] == [row[1 + half:] for row in rows]
 
     def test_non_finite_output_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "min_fidelity", lambda spec, eta, t: np.full(np.shape(t), np.nan))
